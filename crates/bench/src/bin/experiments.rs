@@ -1435,13 +1435,12 @@ fn telemetry(scale: Scale) {
     handle.subscriptions().wait().expect("barrier");
     let wall_secs = start.elapsed().as_secs_f64();
     let snap = handle.metrics();
-    let slow = handle.slow_queries();
+    let retained = handle.traces().len();
     drop(sub);
 
     println!(
         "{queries} queries + {update_round} updates over n = {n} in {wall_secs:.3}s \
-         ({} retained in the slow-query log at 1ms)",
-        slow.len()
+         ({retained} traces retained by the flight recorder at 1ms)"
     );
     println!(
         "{:<12} {:>10} {:>12} {:>12} {:>12}",
@@ -1455,7 +1454,7 @@ fn telemetry(scale: Scale) {
         "    \"queries\": {queries},\n    \"updates\": {update_round},\n"
     ));
     body.push_str(&format!("    \"wall_secs\": {wall_secs:.6},\n"));
-    body.push_str(&format!("    \"slow_queries_retained\": {},\n", slow.len()));
+    body.push_str(&format!("    \"retained_traces\": {retained},\n"));
     body.push_str("    \"stages\": {\n");
     for (i, stage) in Stage::ALL.iter().enumerate() {
         let h = snap
@@ -2215,77 +2214,32 @@ fn write_bench_perf_monitor(
     write_bench_perf_section("monitor", &out)
 }
 
-/// Writes one experiment's section into `BENCH_perf.json`, preserving every
-/// other known section already in the file, so the sectioned experiments
-/// compose regardless of order.  `body` is the section's rendered JSON
-/// object (starting at `{`).
+/// Writes one experiment's section into `BENCH_perf.json`, keeping every
+/// other top-level section already in the file, so the sectioned
+/// experiments compose regardless of order.  `body` is the section's
+/// rendered JSON object; the file is parsed and re-rendered whole, sections
+/// sorted by name.
 fn write_bench_perf_section(section: &str, body: &str) -> std::io::Result<String> {
-    const SECTIONS: [&str; 9] = [
-        "approx",
-        "batch",
-        "monitor",
-        "parallel",
-        "recovery",
-        "serve",
-        "telemetry",
-        "trace",
-        "update",
-    ];
+    use kspr_telemetry::{parse_json, write_json_into, JsonValue};
+    let invalid = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
     let path = "BENCH_perf.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let mut out = String::from("{\n");
-    let mut parts: Vec<(&str, String)> = Vec::new();
-    for name in SECTIONS {
-        if name == section {
-            parts.push((name, body.to_string()));
-        } else if let Some(kept) = extract_json_section(&existing, name) {
-            parts.push((name, kept));
-        }
-    }
-    for (i, (name, body)) in parts.iter().enumerate() {
-        out.push_str(&format!("  \"{name}\": {body}"));
-        out.push_str(if i + 1 == parts.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("}\n");
+    let fresh = parse_json(body).ok_or_else(|| invalid("the section body is not valid JSON"))?;
+    let mut sections = match std::fs::read_to_string(path) {
+        Ok(text) => match parse_json(&text) {
+            Some(JsonValue::Object(sections)) => sections,
+            _ => return Err(invalid("BENCH_perf.json is not a JSON object")),
+        },
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(err) => return Err(err),
+    };
+    sections.retain(|(name, _)| name != section);
+    sections.push((section.to_string(), fresh));
+    sections.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out = String::new();
+    write_json_into(&JsonValue::Object(sections), &mut out);
+    out.push('\n');
     std::fs::write(path, out)?;
     Ok(path.to_string())
-}
-
-/// Extracts the raw `{...}` object of a top-level `"name": {` key from the
-/// hand-rolled `BENCH_perf.json` (brace matching, skipping string literals).
-/// Returns `None` when the key is absent — e.g. an empty file, or the
-/// pre-section flat layout, which is simply superseded.
-fn extract_json_section(text: &str, name: &str) -> Option<String> {
-    let key = format!("\"{name}\":");
-    let at = text.find(&key)?;
-    let open = at + key.len() + text[at + key.len()..].find('{')?;
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in text[open..].char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(text[open..=open + i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 fn fig24(scale: Scale) {

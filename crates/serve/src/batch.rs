@@ -10,7 +10,7 @@
 
 use crate::admission::{AdmissionOptions, Stamp, Verdict};
 use crate::error::{ingest_error, ServeError};
-use crate::telemetry::{tier_index, LiveStats, ServeMetrics, SlowQuery, TIER_NAMES};
+use crate::telemetry::{tier_index, ServeMetrics};
 use crate::ShardedEngine;
 use kspr::{Algorithm, ApproxImpact, ErrorBudget, KsprResult, QueryStats, QueryTier};
 use kspr_approx::TieredResult;
@@ -190,7 +190,6 @@ pub(crate) fn run_jobs(
     engine: &ShardedEngine,
     jobs: Vec<QueryJob>,
     admission: &AdmissionOptions,
-    live: &LiveStats,
     metrics: &ServeMetrics,
     approx_seed: &mut u64,
 ) {
@@ -205,10 +204,11 @@ pub(crate) fn run_jobs(
         trace: RequestTrace,
         /// The tier class the query was *submitted* with (degradation does
         /// not move a query between latency buckets).
-        tier: &'static str,
+        tier: usize,
         algorithm: Algorithm,
     }
 
+    let live = &metrics.live;
     let mut exact_groups: Vec<((Algorithm, usize), Vec<Routed>)> = Vec::new();
     let mut approx_groups: Vec<((ApproxKey, ErrorBudget), Vec<Routed>)> = Vec::new();
     for mut job in jobs {
@@ -216,7 +216,7 @@ pub(crate) fn run_jobs(
         // enqueue was queueing.  The submitted tier class is captured
         // before admission may degrade it.
         job.trace.stamp(Stage::Queue);
-        let tier = TIER_NAMES[tier_index(&job.tier)];
+        let tier = tier_index(&job.tier);
         // Admission first: an overloaded server turns queries away before
         // spending anything on them.  The verdict reads the queue state
         // stamped at enqueue, so it is independent of drain timing.
@@ -330,8 +330,8 @@ pub(crate) fn run_jobs(
                 live.queries.add(focals.len() as u64);
                 live.exact_queries.add(focals.len() as u64);
                 live.auto_routed_exact.add(auto_routed);
-                live.largest_batch.record(focals.len());
-                live.largest_intra_grant.record(intra_grant);
+                live.largest_batch.set_max(focals.len() as u64);
+                live.largest_intra_grant.set_max(intra_grant as u64);
                 if intra_grant > 1 {
                     live.parallel_batches.inc();
                 }
@@ -342,20 +342,11 @@ pub(crate) fn run_jobs(
                     if let Some(engine_span) = engine_span {
                         add_engine_phase_spans(&mut trace, engine_span, &result.stats);
                     }
-                    let stages = trace.timings();
-                    metrics.record_stages(&stages, &QUERY_STAGES);
-                    metrics.record_phases(&result.stats);
+                    metrics.record_stages(&trace.timings(), &QUERY_STAGES);
+                    metrics.record_engine(&result.stats);
                     let total_ns = trace.total_nanos();
-                    let trace_id = metrics.finish_trace(trace, total_ns);
-                    metrics.record_query(SlowQuery {
-                        algorithm,
-                        k,
-                        tier,
-                        total_ns,
-                        stages,
-                        stats: Some(result.stats.clone()),
-                        trace_id,
-                    });
+                    metrics.finish_trace(trace, total_ns);
+                    metrics.record_query(tier, algorithm, total_ns);
                     sink.send_exact(result);
                 }
             }
@@ -391,26 +382,15 @@ pub(crate) fn run_jobs(
                 live.queries.add(focals.len() as u64);
                 live.approx_queries.add(focals.len() as u64);
                 live.auto_routed_approx.add(auto_routed);
-                live.largest_batch.record(focals.len());
+                live.largest_batch.set_max(focals.len() as u64);
                 for ((sink, mut trace, tier, algorithm), estimate) in
                     rest.into_iter().zip(estimates)
                 {
                     trace.stamp(Stage::Ack);
-                    let stages = trace.timings();
-                    metrics.record_stages(&stages, &QUERY_STAGES);
+                    metrics.record_stages(&trace.timings(), &QUERY_STAGES);
                     let total_ns = trace.total_nanos();
-                    let trace_id = metrics.finish_trace(trace, total_ns);
-                    metrics.record_query(SlowQuery {
-                        algorithm,
-                        k,
-                        tier,
-                        total_ns,
-                        stages,
-                        // The sampler reports no QueryStats: the estimate
-                        // *is* its whole answer.
-                        stats: None,
-                        trace_id,
-                    });
+                    metrics.finish_trace(trace, total_ns);
+                    metrics.record_query(tier, algorithm, total_ns);
                     sink.send_approx(estimate);
                 }
             }

@@ -70,9 +70,6 @@ pub(crate) enum Msg {
     ApproxSubscriptions {
         tx: mpsc::Sender<Result<usize, ServeError>>,
     },
-    Stats {
-        tx: mpsc::Sender<Result<ServeStats, ServeError>>,
-    },
     Shutdown,
 }
 
@@ -132,10 +129,6 @@ pub(crate) fn reject_msg(msg: Msg, err: &ServeError) -> u64 {
             let _ = tx.send(Err(err.clone()));
             1
         }
-        Msg::Stats { tx } => {
-            let _ = tx.send(Err(err.clone()));
-            1
-        }
         Msg::Shutdown => 0,
     }
 }
@@ -148,9 +141,8 @@ pub(crate) struct DispatchConfig {
     pub(crate) admission: crate::admission::AdmissionOptions,
     pub(crate) persist: Option<Persist>,
     pub(crate) monitor: Monitor,
-    /// The atomic counter mirror shared with every [`crate::ServeHandle`].
-    pub(crate) live: Arc<LiveStats>,
-    /// The latency histograms, WAL gauges, and slow-query log.
+    /// The counters, latency histograms, WAL gauges and flight recorder
+    /// shared with every [`crate::ServeHandle`].
     pub(crate) metrics: Arc<ServeMetrics>,
 }
 
@@ -319,8 +311,8 @@ fn finish_update_trace(mut trace: RequestTrace, metrics: &ServeMetrics, durable:
 
 impl StagedAck {
     /// Acknowledges the applied update.
-    fn resolve(self, live: &LiveStats, metrics: &ServeMetrics, durable: bool) {
-        live.updates.inc();
+    fn resolve(self, metrics: &ServeMetrics, durable: bool) {
+        metrics.live.updates.inc();
         match self {
             StagedAck::Insert(tx, id, trace) => {
                 finish_update_trace(trace, metrics, durable);
@@ -357,9 +349,9 @@ pub(crate) fn dispatch(
         admission,
         mut persist,
         mut monitor,
-        live,
         metrics,
     } = config;
+    let live = &metrics.live;
     let mut carry: VecDeque<Msg> = VecDeque::new();
     let mut subscribers: HashMap<QueryId, Arc<DeltaQueue>> = HashMap::new();
     let mut approx_watch: HashMap<ApproxWatchId, ApproxStanding> = HashMap::new();
@@ -517,7 +509,7 @@ pub(crate) fn dispatch(
                             }
                             Err(_) => {
                                 for ack in acks.drain(..) {
-                                    ack.fail(&live);
+                                    ack.fail(live);
                                 }
                                 update_failed = true;
                             }
@@ -525,14 +517,14 @@ pub(crate) fn dispatch(
                     }
                 }
                 for ack in acks {
-                    ack.resolve(&live, &metrics, durable);
+                    ack.resolve(&metrics, durable);
                 }
                 if update_failed {
                     break;
                 }
                 if applied > 0 {
                     live.update_batches.inc();
-                    live.largest_update_batch.record(applied);
+                    live.largest_update_batch.set_max(applied as u64);
                 }
                 if !batch.is_empty() {
                     // The monitor runs on the dispatcher thread, so the
@@ -544,14 +536,14 @@ pub(crate) fn dispatch(
                     // stop serving.  One maintenance pass covers the whole
                     // drained batch.
                     let pass = Instant::now();
-                    maintain_standing(&mut monitor, &mut subscribers, &live, |monitor| {
+                    maintain_standing(&mut monitor, &mut subscribers, live, |monitor| {
                         monitor.apply_batch(&engine, &batch)
                     });
                     for (_, values) in &batch {
                         maintain_approx_watch(
                             &engine,
                             &mut approx_watch,
-                            &live,
+                            live,
                             values,
                             &mut approx_seed,
                         );
@@ -644,6 +636,7 @@ pub(crate) fn dispatch(
                         }
                         if committed {
                             live.subscriptions.inc();
+                            live.set_monitor(monitor.stats());
                             let initial = monitor
                                 .result(id)
                                 .expect("freshly registered query has a result")
@@ -675,6 +668,7 @@ pub(crate) fn dispatch(
                     // Wake a receiver still blocked on the dead stream.
                     queue.close();
                 }
+                live.set_monitor(monitor.stats());
                 let mut committed = true;
                 if removed {
                     if let Some(persist) = persist.as_mut() {
@@ -781,11 +775,6 @@ pub(crate) fn dispatch(
             Msg::ApproxSubscriptions { tx } => {
                 let _ = tx.send(Ok(approx_watch.len()));
             }
-            Msg::Stats { tx } => {
-                let mut snapshot = live.snapshot();
-                snapshot.monitor = monitor.stats();
-                let _ = tx.send(Ok(snapshot));
-            }
             Msg::Query(job) => {
                 // Batched dequeue: greedily pull further *consecutive*
                 // queries (updates act as barriers, preserving FIFO
@@ -805,18 +794,9 @@ pub(crate) fn dispatch(
                         Err(_) => break,
                     }
                 }
-                run_jobs(
-                    &engine,
-                    batch,
-                    &admission,
-                    &live,
-                    &metrics,
-                    &mut approx_seed,
-                );
+                run_jobs(&engine, batch, &admission, &metrics, &mut approx_seed);
             }
-            Msg::Batch(jobs) => {
-                run_jobs(&engine, jobs, &admission, &live, &metrics, &mut approx_seed)
-            }
+            Msg::Batch(jobs) => run_jobs(&engine, jobs, &admission, &metrics, &mut approx_seed),
         }
     }
     if !update_failed {

@@ -107,4 +107,4 @@ pub use subscription::{
     ApproxDelta, ApproxSubscribeTicket, ApproxSubscription, ApproxWatchId, SubscribeTicket,
     Subscription, MAX_PENDING_DELTAS,
 };
-pub use telemetry::{SlowQuery, FLIGHT_RECORDER_CAPACITY, SLOW_LOG_CAPACITY};
+pub use telemetry::FLIGHT_RECORDER_CAPACITY;

@@ -24,7 +24,7 @@ use kspr_approx::TieredResult;
 use kspr_telemetry::{RequestTrace, TraceId};
 use kspr_wire::{
     read_frame, read_frame_body, write_frame, ApproxSummary, ErrorCode, FrameError,
-    HistogramSummary, MetricsReport, ResultSummary, WireRequest, WireResponse, LEGACY_WIRE_VERSION,
+    HistogramSummary, MetricsReport, ResultSummary, WireRequest, WireResponse,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -139,10 +139,6 @@ fn serve_connection(handle: ServeHandle, stream: TcpStream) {
                 return;
             }
         };
-        // Respond in the dialect the request arrived in: a legacy (v1)
-        // frame gets a legacy response; a current frame gets the client's
-        // trace id echoed back (or none, if it sent none).
-        let legacy = payload.first() == Some(&LEGACY_WIRE_VERSION);
         let (response, echo) = match WireRequest::decode_traced(&payload) {
             None => (
                 error_response(ErrorCode::Malformed, "payload decoded to no valid request"),
@@ -160,16 +156,15 @@ fn serve_connection(handle: ServeHandle, stream: TcpStream) {
                 (answer(&handle, &mut subs, request, trace), client_id)
             }
         };
-        let encoded = if legacy {
-            response.encode_legacy()
-        } else {
-            response.encode_traced(echo)
-        };
-        if write_frame(&mut writer, &encoded).is_err() {
+        if write_frame(&mut writer, &response.encode_traced(echo)).is_err() {
             return;
         }
     }
 }
+
+/// Longest HTTP request head (request line plus headers) a scrape may
+/// send; a peer that passes it is disconnected unanswered.
+const MAX_SCRAPE_HEAD: u64 = 8 << 10;
 
 /// Answers one HTTP GET and closes: `/trace` serves the flight recorder's
 /// retained span trees as Chrome Trace Event Format JSON (load it in
@@ -179,25 +174,31 @@ fn serve_connection(handle: ServeHandle, stream: TcpStream) {
 /// Deliberately minimal: the request headers are drained and ignored and
 /// the response closes the connection — exactly what a scrape loop or
 /// `curl` needs, with no HTTP machinery the serving stack would otherwise
-/// never use.
+/// never use.  The head is read through a [`MAX_SCRAPE_HEAD`] cap, so a
+/// peer that never sends a newline cannot grow the line buffer.
 fn serve_scrape(handle: &ServeHandle, reader: BufReader<TcpStream>, mut writer: TcpStream) {
-    let mut reader = reader;
+    let mut head = reader.take(MAX_SCRAPE_HEAD);
+    // A line is complete only with its newline: a missing one means EOF or
+    // the cap came first.
+    let mut next_line = |line: &mut String| {
+        line.clear();
+        head.read_line(line).is_ok() && line.ends_with('\n')
+    };
     let mut line = String::new();
     // The dialect sniff already consumed `GET `, so the first line read is
     // the rest of the request line: `<path> HTTP/1.1`.
-    if reader.read_line(&mut line).is_err() {
+    if !next_line(&mut line) {
         return;
     }
     let path = line.split_whitespace().next().unwrap_or("");
     let trace = path == "/trace" || path.starts_with("/trace?");
     // Drain the remaining headers up to the blank line.
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => continue,
-            Err(_) => return,
+        if !next_line(&mut line) {
+            return;
+        }
+        if line == "\r\n" || line == "\n" {
+            break;
         }
     }
     let (content_type, body) = if trace {
@@ -260,31 +261,6 @@ fn approx_summary(estimate: &kspr::ApproxImpact) -> ApproxSummary {
         half_width: estimate.half_width,
         samples: estimate.samples as u64,
     }
-}
-
-/// The stable name/value listing behind `WireRequest::Stats`.
-fn stat_fields(stats: &crate::ServeStats) -> Vec<(String, u64)> {
-    [
-        ("queries", stats.queries),
-        ("exact_queries", stats.exact_queries),
-        ("approx_queries", stats.approx_queries),
-        ("degraded_to_approx", stats.degraded_to_approx),
-        ("rejected", stats.rejected),
-        ("rejected_overloaded", stats.rejections.overloaded),
-        ("rejected_quota", stats.rejections.quota_exceeded),
-        ("rejected_shutdown", stats.rejections.shutdown),
-        ("batches", stats.batches),
-        ("updates", stats.updates),
-        ("update_batches", stats.update_batches),
-        ("wal_commits", stats.wal_commits),
-        ("snapshots", stats.snapshots),
-        ("compactions", stats.compactions),
-        ("subscriptions", stats.subscriptions),
-        ("notifications", stats.notifications),
-    ]
-    .into_iter()
-    .map(|(name, value)| (name.to_owned(), value))
-    .collect()
 }
 
 /// Serves one decoded request through the handle.  `trace` rides along
@@ -383,12 +359,6 @@ fn answer(
                 value: count as u64,
             },
             Err(err) => error_of(err),
-        },
-        WireRequest::Stats => WireResponse::Stats {
-            // Served from the shared atomic mirror: no round-trip through
-            // the dispatcher queue, so a stats probe is never stuck behind
-            // a long batch.
-            fields: stat_fields(&handle.stats_now()),
         },
         WireRequest::Metrics => {
             let snap = handle.metrics();

@@ -90,7 +90,7 @@ use crate::persist::{recover_state, snapshot_of, Persist, RecoverError};
 use crate::sharded::ShardedEngine;
 use crate::stats::ServeStats;
 use crate::subscription::{ApproxSubscribeTicket, ApproxWatchId, DeltaQueue, SubscribeTicket};
-use crate::telemetry::{LiveStats, ServeMetrics, SlowQuery};
+use crate::telemetry::ServeMetrics;
 use kspr::{Algorithm, ApproxImpact, ErrorBudget, KsprConfig, KsprResult, QueryTier, RecordId};
 use kspr_approx::TieredResult;
 use kspr_durable::DurableStore;
@@ -115,19 +115,17 @@ pub struct ServeOptions {
     /// Admission-control thresholds (all off by default; see the
     /// `admission` module).
     pub admission: AdmissionOptions,
-    /// Queries whose end-to-end latency (enqueue to acknowledgement) meets
-    /// this threshold are retained in the slow-query log (the
-    /// [`crate::SLOW_LOG_CAPACITY`] most recent; read through
-    /// [`ServeHandle::slow_queries`]).  `None` (the default) disables the
-    /// log; `Some(Duration::ZERO)` retains every query.
+    /// Requests whose end-to-end latency (enqueue to acknowledgement) meets
+    /// this threshold have their span tree retained in the flight recorder
+    /// (read through [`ServeHandle::traces`]).  While it is set,
+    /// in-process submissions are traced under server-assigned ids, as TCP
+    /// requests always are.  `None` (the default) retains only
+    /// client-pinned traces; `Some(Duration::ZERO)` retains every request.
     pub slow_query_threshold: Option<Duration>,
     /// WAL size watermark, bytes: once the live WAL (the `kspr_wal_bytes`
     /// gauge) grows past this, the server logs one warning per snapshot
     /// epoch suggesting a compaction.  Default 64 MiB.
     pub wal_warn_bytes: u64,
-    /// How many [`SlowQuery`] entries the slow-query log retains before
-    /// evicting oldest-first.  Default [`crate::SLOW_LOG_CAPACITY`].
-    pub slow_log_capacity: usize,
     /// How many complete span trees the flight recorder retains (most
     /// recent wins).  Traced requests enter the recorder when the client
     /// pinned them with a wire trace id or when they crossed
@@ -144,7 +142,6 @@ impl Default for ServeOptions {
             admission: AdmissionOptions::default(),
             slow_query_threshold: None,
             wal_warn_bytes: 64 << 20,
-            slow_log_capacity: crate::SLOW_LOG_CAPACITY,
             flight_recorder_capacity: crate::FLIGHT_RECORDER_CAPACITY,
         }
     }
@@ -162,7 +159,6 @@ pub struct ServeHandle {
     queue: Arc<AtomicUsize>,
     client: Arc<AtomicUsize>,
     closing: Arc<AtomicBool>,
-    live: Arc<LiveStats>,
     metrics: Arc<ServeMetrics>,
 }
 
@@ -202,7 +198,6 @@ impl ServeHandle {
             queue: Arc::clone(&self.queue),
             client: Arc::new(AtomicUsize::new(0)),
             closing: Arc::clone(&self.closing),
-            live: Arc::clone(&self.live),
             metrics: Arc::clone(&self.metrics),
         }
     }
@@ -219,7 +214,7 @@ impl ServeHandle {
         focal: Vec<f64>,
         k: usize,
     ) -> Ticket<KsprResult> {
-        self.submit_with_trace(algorithm, focal, k, RequestTrace::start())
+        self.submit_with_trace(algorithm, focal, k, self.metrics.start_trace())
     }
 
     /// [`ServeHandle::submit_with`] under a caller-built [`RequestTrace`]
@@ -265,7 +260,7 @@ impl ServeHandle {
             tier: QueryTier::Approximate { budget },
             stamp: self.stamp(),
             sink: Sink::Approx(tx),
-            trace: RequestTrace::start(),
+            trace: self.metrics.start_trace(),
         }));
         ticket
     }
@@ -283,7 +278,7 @@ impl ServeHandle {
         k: usize,
         tier: QueryTier,
     ) -> Ticket<TieredResult> {
-        self.submit_tiered_trace(algorithm, focal, k, tier, RequestTrace::start())
+        self.submit_tiered_trace(algorithm, focal, k, tier, self.metrics.start_trace())
     }
 
     /// [`ServeHandle::submit_tiered`] under a caller-built [`RequestTrace`].
@@ -322,7 +317,7 @@ impl ServeHandle {
                 tier: QueryTier::Exact,
                 stamp: self.stamp(),
                 sink: Sink::Exact(tx),
-                trace: RequestTrace::start(),
+                trace: self.metrics.start_trace(),
             });
             tickets.push(ticket);
         }
@@ -332,7 +327,7 @@ impl ServeHandle {
 
     /// Enqueues an insert; resolves to the new record's global id.
     pub fn insert(&self, values: Vec<f64>) -> Ticket<RecordId> {
-        self.insert_trace(values, RequestTrace::start())
+        self.insert_trace(values, self.metrics.start_trace())
     }
 
     /// [`ServeHandle::insert`] under a caller-built [`RequestTrace`].
@@ -344,7 +339,7 @@ impl ServeHandle {
 
     /// Enqueues a delete; resolves to whether a live record was removed.
     pub fn delete(&self, id: RecordId) -> Ticket<bool> {
-        self.delete_trace(id, RequestTrace::start())
+        self.delete_trace(id, self.metrics.start_trace())
     }
 
     /// [`ServeHandle::delete`] under a caller-built [`RequestTrace`].
@@ -447,39 +442,26 @@ impl ServeHandle {
         ticket
     }
 
-    /// A live snapshot of the serving counters, serialized with the
-    /// requests around it.
-    pub fn stats(&self) -> Ticket<ServeStats> {
-        let (tx, ticket) = Ticket::new();
-        self.enqueue(Msg::Stats { tx });
-        ticket
-    }
-
-    /// A live snapshot of the serving counters **without queueing behind the
-    /// dispatcher**: read directly from the shared atomic counters, so it
-    /// returns immediately even while the dispatcher is deep in a long
-    /// batch.  Every counter a finished request contributed is visible (the
+    /// A live snapshot of the serving counters, read straight from the
+    /// metrics registry without queueing behind the dispatcher.  Every
+    /// counter an acknowledged request contributed is visible (the
     /// dispatcher publishes counters before acknowledgements); requests
-    /// still in flight may or may not be counted yet.
+    /// still in flight may or may not be counted yet.  An update's
+    /// standing-query maintenance (notifications, monitor classification
+    /// stats) runs after its acknowledgement and shows up once the pass
+    /// ends.
     pub fn stats_now(&self) -> ServeStats {
-        self.live.snapshot()
+        self.metrics.live.snapshot()
     }
 
     /// A live [`MetricsSnapshot`] of every counter, gauge and latency
-    /// histogram the server maintains — per-stage, per-tier and
-    /// per-algorithm latency distributions included.  Non-blocking, like
+    /// histogram the server maintains — the [`ServeStats`] counters as
+    /// `kspr_<field>` series, plus per-stage, per-tier and per-algorithm
+    /// latency distributions.  Non-blocking, like
     /// [`ServeHandle::stats_now`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(
-            self.queue.load(Ordering::Relaxed) as u64,
-            &self.live.snapshot(),
-        )
-    }
-
-    /// The retained slow-query log, oldest first (empty unless
-    /// [`ServeOptions::slow_query_threshold`] is set).
-    pub fn slow_queries(&self) -> Vec<SlowQuery> {
-        self.metrics.slow_queries()
+        self.metrics
+            .snapshot(self.queue.load(Ordering::Relaxed) as u64)
     }
 
     /// The flight recorder's retained span trees, oldest first: every
@@ -510,7 +492,6 @@ pub struct Server {
     algorithm: Algorithm,
     queue: Arc<AtomicUsize>,
     closing: Arc<AtomicBool>,
-    live: Arc<LiveStats>,
     metrics: Arc<ServeMetrics>,
     join: Option<JoinHandle<(ShardedEngine, ServeStats)>>,
 }
@@ -580,11 +561,9 @@ impl Server {
             );
         }
         let (tx, rx) = mpsc::channel();
-        let live = Arc::new(LiveStats::default());
         let metrics = Arc::new(ServeMetrics::new(
             options.slow_query_threshold,
             options.wal_warn_bytes,
-            options.slow_log_capacity,
             options.flight_recorder_capacity,
         ));
         let config = DispatchConfig {
@@ -592,7 +571,6 @@ impl Server {
             admission: options.admission,
             persist,
             monitor,
-            live: Arc::clone(&live),
             metrics: Arc::clone(&metrics),
         };
         let join = std::thread::spawn(move || dispatch(engine, rx, config));
@@ -601,7 +579,6 @@ impl Server {
             algorithm: options.algorithm,
             queue: Arc::new(AtomicUsize::new(0)),
             closing: Arc::new(AtomicBool::new(false)),
-            live,
             metrics,
             join: Some(join),
         }
@@ -616,7 +593,6 @@ impl Server {
             queue: Arc::clone(&self.queue),
             client: Arc::new(AtomicUsize::new(0)),
             closing: Arc::clone(&self.closing),
-            live: Arc::clone(&self.live),
             metrics: Arc::clone(&self.metrics),
         }
     }
@@ -1458,7 +1434,6 @@ mod tests {
             handle.subscribe(vec![0.5, 0.5, 0.7], 2).wait().unwrap_err(),
             ServeError::Shutdown
         );
-        assert_eq!(handle.stats().wait().unwrap_err(), ServeError::Shutdown);
     }
 
     #[test]
@@ -1617,9 +1592,22 @@ mod tests {
         let server = Server::start(demo_engine(2), ServeOptions::default());
         let handle = server.handle();
         handle.submit(vec![0.5, 0.5, 0.7], 2).wait().expect("query");
-        let live = handle.stats().wait().expect("live stats");
-        assert_eq!(live.queries, 1);
+        assert_eq!(handle.stats_now().queries, 1);
+        // The monitor's stats are published before a subscription is
+        // acknowledged: no barrier request is needed to observe them.
+        let sub = handle
+            .subscribe(vec![0.5, 0.5, 0.7], 2)
+            .wait()
+            .expect("subscribe");
+        let live = handle.stats_now();
+        assert_eq!(live.subscriptions, 1);
+        assert_eq!(live.monitor.registered, 1);
+        assert_eq!(handle.unsubscribe(sub.id()).wait(), Ok(true));
         let (_, after) = server.shutdown();
         assert_eq!(after.queries, 1);
+        assert_eq!(
+            after.monitor.registered, 1,
+            "registered counts ever-registered"
+        );
     }
 }

@@ -85,7 +85,7 @@ impl RejectionStats {
     }
 
     /// Index of `err`'s counter in [`RejectionStats::variants`] order (the
-    /// live atomic mirror of the dispatcher counts through this).
+    /// dispatcher's live counters are kept in this order).
     pub(crate) fn index_of(err: &ServeError) -> usize {
         match err {
             ServeError::InvalidK => 0,
@@ -124,7 +124,9 @@ impl RejectionStats {
 }
 
 /// Serving-side counters, returned by [`crate::Server::shutdown`] and
-/// readable live through [`crate::ServeHandle::stats`].
+/// readable live through [`crate::ServeHandle::stats_now`] — a typed view
+/// of the registry series `kspr_<field>` (see
+/// [`crate::ServeHandle::metrics`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Queries answered successfully.

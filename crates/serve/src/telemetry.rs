@@ -1,23 +1,23 @@
-//! Serving-side telemetry: the lock-free mirror behind the non-blocking
-//! stats snapshot, the metric registry every pipeline stage records into,
-//! and the slow-query log.
+//! Serving-side telemetry: the one [`MetricsRegistry`] every counter,
+//! gauge and latency histogram of the serving stack lives in, and the
+//! flight recorder that retains span trees.
 //!
-//! The dispatcher used to own [`ServeStats`] as plain `u64`s, so reading
-//! the counters meant a round-trip through the request queue (blocking
-//! behind whatever the dispatcher was busy with).  [`LiveStats`] replaces
-//! that with relaxed atomics the dispatcher increments *before* it sends
-//! each answer: the mpsc channel's release/acquire edge then orders the
+//! [`LiveStats`] holds the [`ServeStats`] counters as handles into that
+//! registry, each exported as `kspr_<field>`, so `stats_now()`,
+//! `metrics()`, the `Metrics` opcode and the Prometheus scrape all read the
+//! same atomics.  The dispatcher increments them *before* it sends each
+//! answer: the mpsc channel's release/acquire edge then orders the
 //! increment before the client's receive, so a snapshot taken after a
-//! ticket resolved always includes that request — the counters stay exactly
-//! as consistent as the old serialized read, without the round-trip.  (The
-//! only lag is bookkeeping no answer waits on: notification counts and the
-//! monitor's classification stats update after the acknowledging sends; a
-//! serialized request, e.g. `subscriptions()`, acts as a barrier.)
+//! ticket resolved always includes that request.  The monitor's
+//! classification stats are published the same way before a
+//! (un)subscription is acknowledged; only an update's maintenance pass —
+//! its notification counts and classification stats — lands after the
+//! update's own acknowledgement.
 //!
-//! [`ServeMetrics`] holds the pre-resolved [`kspr_telemetry`] handles the
-//! hot path records into — per-[`Stage`] latency histograms, per-tier and
-//! per-algorithm totals, WAL commit latency, engine wall time — plus the
-//! WAL gauges and the bounded ring buffer of [`SlowQuery`] entries.
+//! [`ServeMetrics`] owns the registry, the pre-resolved histogram handles
+//! the hot path records into — per-[`Stage`] latency, per-tier and
+//! per-algorithm totals, engine phases, WAL commit latency — the WAL
+//! gauges, and the [`FlightRecorder`].
 
 use crate::error::ServeError;
 use crate::stats::{RejectionStats, ServeStats, REJECTION_VARIANTS};
@@ -27,7 +27,6 @@ use kspr_telemetry::{
     Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, RequestTrace,
     Stage, StageTimings, TraceId, TraceRecord,
 };
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -36,58 +35,60 @@ fn unpoisoned<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// A monotone high-water mark (`fetch_max` under the hood).
-#[derive(Debug, Default)]
-pub(crate) struct Peak(AtomicU64);
+/// Declares [`LiveStats`] from one list of field names: each field is a
+/// registry handle exported as `kspr_<field>`, and [`LiveStats::snapshot`]
+/// copies it into the same-named [`ServeStats`] field (an exhaustive struct
+/// literal, so the two cannot drift without a compile error).
+macro_rules! live_stats {
+    (counters: $($counter:ident),+; gauges: $($gauge:ident),+;) => {
+        /// The [`ServeStats`] counters as handles into the serving
+        /// registry.  The dispatcher thread is the only writer;
+        /// [`LiveStats::snapshot`] can be read from any thread at any time.
+        pub(crate) struct LiveStats {
+            $(pub(crate) $counter: Arc<Counter>,)+
+            $(pub(crate) $gauge: Arc<Gauge>,)+
+            /// Per-variant rejection counters in [`RejectionStats::variants`]
+            /// order, exported as `kspr_rejected_<variant>`.
+            rejections: [Arc<Counter>; REJECTION_VARIANTS],
+            /// The monitor's classification stats (the monitor itself lives
+            /// on the dispatcher thread).
+            monitor: Mutex<MonitorStats>,
+        }
 
-impl Peak {
-    /// Raises the mark to `value` if it is higher.
-    pub(crate) fn record(&self, value: usize) {
-        self.0.fetch_max(value as u64, Ordering::Relaxed);
-    }
+        impl LiveStats {
+            fn register(registry: &MetricsRegistry) -> Self {
+                Self {
+                    $($counter: registry.counter(concat!("kspr_", stringify!($counter))),)+
+                    $($gauge: registry.gauge(concat!("kspr_", stringify!($gauge))),)+
+                    rejections: RejectionStats::default()
+                        .variants()
+                        .map(|(name, _)| registry.counter(&format!("kspr_rejected_{name}"))),
+                    monitor: Mutex::default(),
+                }
+            }
 
-    fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed) as usize
-    }
+            /// A plain-value copy of every counter.
+            pub(crate) fn snapshot(&self) -> ServeStats {
+                ServeStats {
+                    $($counter: self.$counter.get(),)+
+                    $($gauge: self.$gauge.get() as usize,)+
+                    rejections: RejectionStats::from_counts(
+                        self.rejections.each_ref().map(|counter| counter.get()),
+                    ),
+                    monitor: *unpoisoned(&self.monitor),
+                }
+            }
+        }
+    };
 }
 
-/// The live (atomic) mirror of every [`ServeStats`] counter.
-///
-/// The dispatcher thread is the only writer; [`LiveStats::snapshot`] can be
-/// read from any thread at any time.  Field-for-field with [`ServeStats`]
-/// (the snapshot is an exhaustive struct literal, so the two cannot drift
-/// without a compile error).
-#[derive(Debug, Default)]
-pub(crate) struct LiveStats {
-    pub(crate) queries: Counter,
-    pub(crate) exact_queries: Counter,
-    pub(crate) approx_queries: Counter,
-    pub(crate) auto_routed_exact: Counter,
-    pub(crate) auto_routed_approx: Counter,
-    pub(crate) degraded_to_approx: Counter,
-    rejected: Counter,
-    rejections: [Counter; REJECTION_VARIANTS],
-    pub(crate) batches: Counter,
-    pub(crate) largest_batch: Peak,
-    pub(crate) largest_intra_grant: Peak,
-    pub(crate) parallel_batches: Counter,
-    pub(crate) updates: Counter,
-    pub(crate) update_batches: Counter,
-    pub(crate) largest_update_batch: Peak,
-    pub(crate) wal_commits: Counter,
-    pub(crate) snapshots: Counter,
-    pub(crate) compactions: Counter,
-    pub(crate) subscriptions: Counter,
-    pub(crate) notifications: Counter,
-    pub(crate) deltas_coalesced: Counter,
-    pub(crate) approx_subscriptions: Counter,
-    pub(crate) approx_notifications: Counter,
-    pub(crate) approx_watch_unaffected: Counter,
-    pub(crate) maintenance_failures: Counter,
-    /// The monitor's classification stats, refreshed after every
-    /// maintenance pass (the monitor itself lives on the dispatcher
-    /// thread).
-    monitor: Mutex<MonitorStats>,
+live_stats! {
+    counters: queries, exact_queries, approx_queries, auto_routed_exact, auto_routed_approx,
+        degraded_to_approx, rejected, batches, parallel_batches, updates, update_batches,
+        wal_commits, snapshots, compactions, subscriptions, notifications, deltas_coalesced,
+        approx_subscriptions, approx_notifications, approx_watch_unaffected,
+        maintenance_failures;
+    gauges: largest_batch, largest_intra_grant, largest_update_batch;
 }
 
 impl LiveStats {
@@ -100,42 +101,6 @@ impl LiveStats {
     /// Publishes the monitor's classification stats.
     pub(crate) fn set_monitor(&self, stats: MonitorStats) {
         *unpoisoned(&self.monitor) = stats;
-    }
-
-    /// A plain-value copy of every counter.
-    pub(crate) fn snapshot(&self) -> ServeStats {
-        let mut counts = [0u64; REJECTION_VARIANTS];
-        for (slot, counter) in counts.iter_mut().zip(&self.rejections) {
-            *slot = counter.get();
-        }
-        ServeStats {
-            queries: self.queries.get(),
-            exact_queries: self.exact_queries.get(),
-            approx_queries: self.approx_queries.get(),
-            auto_routed_exact: self.auto_routed_exact.get(),
-            auto_routed_approx: self.auto_routed_approx.get(),
-            degraded_to_approx: self.degraded_to_approx.get(),
-            rejected: self.rejected.get(),
-            rejections: RejectionStats::from_counts(counts),
-            batches: self.batches.get(),
-            largest_batch: self.largest_batch.get(),
-            largest_intra_grant: self.largest_intra_grant.get(),
-            parallel_batches: self.parallel_batches.get(),
-            updates: self.updates.get(),
-            update_batches: self.update_batches.get(),
-            largest_update_batch: self.largest_update_batch.get(),
-            wal_commits: self.wal_commits.get(),
-            snapshots: self.snapshots.get(),
-            compactions: self.compactions.get(),
-            subscriptions: self.subscriptions.get(),
-            notifications: self.notifications.get(),
-            deltas_coalesced: self.deltas_coalesced.get(),
-            approx_subscriptions: self.approx_subscriptions.get(),
-            approx_notifications: self.approx_notifications.get(),
-            approx_watch_unaffected: self.approx_watch_unaffected.get(),
-            maintenance_failures: self.maintenance_failures.get(),
-            monitor: *unpoisoned(&self.monitor),
-        }
     }
 }
 
@@ -156,11 +121,6 @@ pub(crate) fn tier_index(tier: &QueryTier) -> usize {
 /// Metric-name component per algorithm (indexed by `Algorithm as usize`).
 const ALGORITHM_NAMES: [&str; 6] = ["cta", "pcta", "lp_cta", "k_skyband", "rtopk", "i_max_rank"];
 
-/// How many [`SlowQuery`] entries the ring buffer retains by default: old
-/// entries are evicted oldest-first once the log is full.  Configurable per
-/// server via `ServeOptions::slow_log_capacity`.
-pub const SLOW_LOG_CAPACITY: usize = 32;
-
 /// How many complete span trees the flight recorder retains by default.
 /// Configurable per server via `ServeOptions::flight_recorder_capacity`.
 pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
@@ -176,36 +136,13 @@ pub(crate) fn next_server_trace_id() -> TraceId {
     TraceId(NEXT.fetch_add(1, Ordering::Relaxed))
 }
 
-/// One retained slow query: what ran, how long each pipeline stage took,
-/// and the engine's per-query side metrics when the exact engine produced
-/// them.
-#[derive(Debug, Clone)]
-pub struct SlowQuery {
-    /// The algorithm the query ran (for approximate answers: the algorithm
-    /// it was submitted with — the sampler is algorithm-agnostic).
-    pub algorithm: Algorithm,
-    /// The query's `k`.
-    pub k: usize,
-    /// The tier class it was submitted under (see metric names
-    /// `kspr_tier_*_ns`): `"exact"`, `"approximate"`, or `"auto"`.
-    pub tier: &'static str,
-    /// End-to-end latency, enqueue to acknowledgement, in nanoseconds.
-    pub total_ns: u64,
-    /// Per-stage breakdown of that latency.
-    pub stages: StageTimings,
-    /// The engine's side metrics (exact answers only; the approximate tier
-    /// reports no `QueryStats`).
-    pub stats: Option<QueryStats>,
-    /// The id of this query's span tree in the flight recorder, when one
-    /// was retained — look it up with `ServeHandle::trace`.
-    pub trace_id: Option<TraceId>,
-}
-
-/// Everything the serving stack records besides the [`ServeStats`]
-/// counters: the registry of latency histograms and WAL gauges, the
-/// slow-query threshold, and the slow-query ring buffer.
+/// Everything the serving stack records: the registry (the
+/// [`ServeStats`] counters, latency histograms and WAL gauges), the
+/// slow-query threshold, and the flight recorder.
 pub(crate) struct ServeMetrics {
     registry: MetricsRegistry,
+    /// The [`ServeStats`] counters, as handles into `registry`.
+    pub(crate) live: LiveStats,
     /// Per-pipeline-stage latency histograms, indexed by [`Stage::index`]
     /// (`kspr_stage_<stage>_ns`).
     stages: [Arc<Histogram>; Stage::COUNT],
@@ -233,12 +170,9 @@ pub(crate) struct ServeMetrics {
     snapshot_epoch: Arc<Gauge>,
     /// Pending request-queue depth at snapshot time (`kspr_queue_depth`).
     queue_depth: Arc<Gauge>,
-    /// Queries at least this slow (enqueue to ack) enter the slow-query
-    /// log; `None` disables the log.
+    /// Traced requests at least this slow (enqueue to ack) are retained in
+    /// the flight recorder; `None` retains only client-pinned traces.
     slow_threshold_ns: Option<u64>,
-    slow: Mutex<VecDeque<SlowQuery>>,
-    /// [`SlowQuery`] entries retained before oldest-first eviction.
-    slow_log_capacity: usize,
     /// The bounded ring of retained span trees (client-pinned traces plus
     /// every trace that crossed the slow-query threshold).
     recorder: FlightRecorder,
@@ -251,10 +185,10 @@ impl ServeMetrics {
     pub(crate) fn new(
         slow_query_threshold: Option<Duration>,
         wal_warn_bytes: u64,
-        slow_log_capacity: usize,
         flight_recorder_capacity: usize,
     ) -> Self {
         let registry = MetricsRegistry::new();
+        let live = LiveStats::register(&registry);
         let stages = Stage::ALL.map(|stage| {
             let name = format!("kspr_stage_{}_ns", stage.name());
             registry.describe(
@@ -334,6 +268,7 @@ impl ServeMetrics {
         let queue_depth = registry.gauge("kspr_queue_depth");
         Self {
             registry,
+            live,
             stages,
             tiers,
             algorithms,
@@ -348,8 +283,6 @@ impl ServeMetrics {
             queue_depth,
             slow_threshold_ns: slow_query_threshold
                 .map(|t| u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)),
-            slow: Mutex::new(VecDeque::with_capacity(slow_log_capacity)),
-            slow_log_capacity: slow_log_capacity.max(1),
             recorder: FlightRecorder::new(flight_recorder_capacity),
             wal_warn_bytes,
             wal_warned: AtomicBool::new(false),
@@ -366,35 +299,33 @@ impl ServeMetrics {
         }
     }
 
-    /// Records one answered query's end-to-end latency under its tier class
-    /// and algorithm, and retains it in the slow-query log when it crossed
-    /// the threshold.
-    pub(crate) fn record_query(&self, slow: SlowQuery) {
-        self.tiers[TIER_NAMES
-            .iter()
-            .position(|&t| t == slow.tier)
-            .expect("tier labels come from TIER_NAMES")]
-        .record(slow.total_ns);
-        self.algorithms[slow.algorithm as usize].record(slow.total_ns);
-        if let Some(stats) = &slow.stats {
-            self.engine_wall.record(stats.wall_time_ns);
-        }
-        if self.slow_threshold_ns.is_some_and(|t| slow.total_ns >= t) {
-            let mut log = unpoisoned(&self.slow);
-            while log.len() >= self.slow_log_capacity {
-                log.pop_front();
-            }
-            log.push_back(slow);
-        }
+    /// Records one answered query's end-to-end latency under the tier
+    /// class it was submitted with (an index into [`TIER_NAMES`]) and its
+    /// algorithm.
+    pub(crate) fn record_query(&self, tier: usize, algorithm: Algorithm, total_ns: u64) {
+        self.tiers[tier].record(total_ns);
+        self.algorithms[algorithm as usize].record(total_ns);
     }
 
-    /// Records one exact answer's per-phase engine breakdown and its LP
-    /// pivot count.
-    pub(crate) fn record_phases(&self, stats: &QueryStats) {
+    /// Records one exact answer's engine wall time, per-phase breakdown and
+    /// LP pivot count.
+    pub(crate) fn record_engine(&self, stats: &QueryStats) {
+        self.engine_wall.record(stats.wall_time_ns);
         for (histogram, (_, nanos)) in self.phases.iter().zip(stats.phases.iter()) {
             histogram.record(nanos);
         }
         self.lp_pivots.record(stats.lp_pivots as u64);
+    }
+
+    /// The trace an in-process submission starts under.  With a slow-query
+    /// threshold set it collects spans under a server-assigned id, as every
+    /// TCP request does, so a slow request reaches the flight recorder;
+    /// otherwise it only times the stages.
+    pub(crate) fn start_trace(&self) -> RequestTrace {
+        match self.slow_threshold_ns {
+            Some(_) => RequestTrace::traced(next_server_trace_id(), false),
+            None => RequestTrace::start(),
+        }
     }
 
     /// Closes a finished request's span tree and retains it in the flight
@@ -420,11 +351,6 @@ impl ServeMetrics {
     /// The retained span tree of `trace_id`, if the recorder still holds it.
     pub(crate) fn trace(&self, trace_id: TraceId) -> Option<Arc<TraceRecord>> {
         self.recorder.find(trace_id)
-    }
-
-    /// The retained slow queries, oldest first.
-    pub(crate) fn slow_queries(&self) -> Vec<SlowQuery> {
-        unpoisoned(&self.slow).iter().cloned().collect()
     }
 
     /// Times one standing-query maintenance pass into the `Notify` stage
@@ -461,65 +387,12 @@ impl ServeMetrics {
         self.wal_warned.store(false, Ordering::Relaxed);
     }
 
-    /// A [`MetricsSnapshot`] of every registered metric, folding in the
-    /// [`ServeStats`] counters (prefixed `kspr_`) and the current queue
-    /// depth so one export carries the whole serving picture.
-    pub(crate) fn snapshot(&self, queue_depth: u64, serve: &ServeStats) -> MetricsSnapshot {
+    /// A [`MetricsSnapshot`] of every registered metric, with the queue
+    /// depth gauge set to `queue_depth` first.
+    pub(crate) fn snapshot(&self, queue_depth: u64) -> MetricsSnapshot {
         self.queue_depth.set(queue_depth);
-        let mut snap = self.registry.snapshot();
-        for (name, value) in serve_counter_fields(serve) {
-            snap.counters.push((format!("kspr_{name}"), value));
-        }
-        snap.counters.sort();
-        snap.gauges
-            .push(("kspr_largest_batch".into(), serve.largest_batch as u64));
-        snap.gauges.push((
-            "kspr_largest_intra_grant".into(),
-            serve.largest_intra_grant as u64,
-        ));
-        snap.gauges.push((
-            "kspr_largest_update_batch".into(),
-            serve.largest_update_batch as u64,
-        ));
-        snap.gauges.sort();
-        snap
+        self.registry.snapshot()
     }
-}
-
-/// Every monotone [`ServeStats`] counter as `(name, value)` — the high-water
-/// marks export as gauges instead, and the monitor's classification stats
-/// stay on the struct.
-fn serve_counter_fields(stats: &ServeStats) -> Vec<(String, u64)> {
-    let mut fields: Vec<(String, u64)> = [
-        ("queries", stats.queries),
-        ("exact_queries", stats.exact_queries),
-        ("approx_queries", stats.approx_queries),
-        ("auto_routed_exact", stats.auto_routed_exact),
-        ("auto_routed_approx", stats.auto_routed_approx),
-        ("degraded_to_approx", stats.degraded_to_approx),
-        ("rejected", stats.rejected),
-        ("batches", stats.batches),
-        ("parallel_batches", stats.parallel_batches),
-        ("updates", stats.updates),
-        ("update_batches", stats.update_batches),
-        ("wal_commits", stats.wal_commits),
-        ("snapshots", stats.snapshots),
-        ("compactions", stats.compactions),
-        ("subscriptions", stats.subscriptions),
-        ("notifications", stats.notifications),
-        ("deltas_coalesced", stats.deltas_coalesced),
-        ("approx_subscriptions", stats.approx_subscriptions),
-        ("approx_notifications", stats.approx_notifications),
-        ("approx_watch_unaffected", stats.approx_watch_unaffected),
-        ("maintenance_failures", stats.maintenance_failures),
-    ]
-    .into_iter()
-    .map(|(name, value)| (name.to_owned(), value))
-    .collect();
-    for (variant, count) in stats.rejections.variants() {
-        fields.push((format!("rejected_{variant}"), count));
-    }
-    fields
 }
 
 #[cfg(test)]
@@ -528,15 +401,15 @@ mod tests {
 
     #[test]
     fn live_stats_snapshot_mirrors_every_counter() {
-        let live = LiveStats::default();
+        let live = LiveStats::register(&MetricsRegistry::new());
         live.queries.add(4);
         live.exact_queries.add(3);
         live.approx_queries.inc();
         live.reject(&ServeError::InvalidK);
         live.reject(&ServeError::Overloaded);
         live.reject(&ServeError::Overloaded);
-        live.largest_batch.record(5);
-        live.largest_batch.record(3); // high-water mark, not last-write
+        live.largest_batch.set_max(5);
+        live.largest_batch.set_max(3); // high-water mark, not last-write
         live.updates.add(7);
 
         let snap = live.snapshot();
@@ -552,104 +425,67 @@ mod tests {
     }
 
     #[test]
-    fn slow_query_log_applies_threshold_and_capacity() {
-        let metrics = ServeMetrics::new(
-            Some(Duration::from_nanos(1_000)),
-            u64::MAX,
-            SLOW_LOG_CAPACITY,
-            FLIGHT_RECORDER_CAPACITY,
-        );
-        let query = |total_ns| SlowQuery {
-            algorithm: Algorithm::LpCta,
-            k: 2,
-            tier: TIER_NAMES[0],
-            total_ns,
-            stages: StageTimings::default(),
-            stats: None,
-            trace_id: None,
-        };
-        metrics.record_query(query(999)); // below threshold: not retained
-        for i in 0..SLOW_LOG_CAPACITY + 3 {
-            metrics.record_query(query(1_000 + i as u64));
+    fn live_counters_are_registry_series() {
+        let metrics = ServeMetrics::new(None, u64::MAX, 4);
+        metrics.live.queries.add(9);
+        metrics.live.reject(&ServeError::QuotaExceeded);
+        metrics.live.reject(&ServeError::QuotaExceeded);
+        metrics.live.largest_batch.set_max(4);
+        let snap = metrics.snapshot(3);
+        assert_eq!(snap.counter("kspr_queries"), Some(9));
+        assert_eq!(snap.counter("kspr_rejected"), Some(2));
+        assert_eq!(snap.counter("kspr_rejected_quota_exceeded"), Some(2));
+        assert_eq!(snap.gauge("kspr_largest_batch"), Some(4));
+        assert_eq!(snap.gauge("kspr_queue_depth"), Some(3));
+        for (variant, _) in RejectionStats::default().variants() {
+            let name = format!("kspr_rejected_{variant}");
+            assert!(snap.counter(&name).is_some(), "{name} must be exported");
         }
-        let log = metrics.slow_queries();
-        assert_eq!(log.len(), SLOW_LOG_CAPACITY, "the ring buffer is bounded");
+        let text = snap.render_prometheus();
+        assert!(text.contains("# TYPE kspr_queries counter\nkspr_queries 9\n"));
+        assert!(text.contains("# TYPE kspr_largest_batch gauge\nkspr_largest_batch 4\n"));
         assert_eq!(
-            log.first().unwrap().total_ns,
-            1_003,
-            "eviction is oldest-first"
+            text.matches("\nkspr_queries ").count(),
+            1,
+            "one series per counter"
         );
-        // Every recorded query lands in its tier histogram regardless of
-        // the slow log.
-        let snap = metrics.snapshot(0, &ServeStats::default());
+    }
+
+    #[test]
+    fn slow_traces_are_retained_up_to_capacity() {
+        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)), u64::MAX, 4);
+        // With a threshold set, in-process submissions are traced under
+        // server-assigned, unpinned ids.
+        let trace = metrics.start_trace();
+        assert!(trace.trace_id().is_some_and(|id| id.0 >= 1 << 48));
+        assert!(!trace.pinned());
+        assert_eq!(metrics.finish_trace(trace, 999), None, "below threshold");
+        for id in 1..=6 {
+            let trace = RequestTrace::traced(TraceId(id), false);
+            assert_eq!(metrics.finish_trace(trace, 1_000 + id), Some(TraceId(id)));
+        }
+        let kept: Vec<TraceId> = metrics.traces().iter().map(|r| r.trace_id).collect();
         assert_eq!(
-            snap.histogram("kspr_tier_exact_ns").unwrap().count(),
-            SLOW_LOG_CAPACITY as u64 + 4
+            kept,
+            [3, 4, 5, 6].map(TraceId),
+            "the recorder is bounded and evicts oldest-first"
         );
     }
 
     #[test]
     fn disabled_threshold_retains_nothing() {
-        let metrics = ServeMetrics::new(None, u64::MAX, SLOW_LOG_CAPACITY, 4);
-        metrics.record_query(SlowQuery {
-            algorithm: Algorithm::Cta,
-            k: 1,
-            tier: TIER_NAMES[2],
-            total_ns: u64::MAX,
-            stages: StageTimings::default(),
-            stats: None,
-            trace_id: None,
-        });
-        assert!(metrics.slow_queries().is_empty());
-    }
-
-    #[test]
-    fn snapshot_folds_serve_counters_and_peak_gauges_in() {
-        let metrics = ServeMetrics::new(None, u64::MAX, SLOW_LOG_CAPACITY, 4);
-        let serve = ServeStats {
-            queries: 9,
-            largest_batch: 4,
-            rejections: RejectionStats {
-                quota_exceeded: 2,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let snap = metrics.snapshot(3, &serve);
-        assert_eq!(snap.counter("kspr_queries"), Some(9));
-        assert_eq!(snap.counter("kspr_rejected_quota_exceeded"), Some(2));
-        assert_eq!(snap.gauge("kspr_largest_batch"), Some(4));
-        assert_eq!(snap.gauge("kspr_queue_depth"), Some(3));
-        // Folded counters keep the sorted-export invariant.
-        let names: Vec<&String> = snap.counters.iter().map(|(n, _)| n).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn slow_log_capacity_is_configurable() {
-        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1)), u64::MAX, 2, 4);
-        for i in 0..5u64 {
-            metrics.record_query(SlowQuery {
-                algorithm: Algorithm::LpCta,
-                k: 1,
-                tier: TIER_NAMES[0],
-                total_ns: 100 + i,
-                stages: StageTimings::default(),
-                stats: None,
-                trace_id: None,
-            });
-        }
-        let log = metrics.slow_queries();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].total_ns, 103);
-        assert_eq!(log[1].total_ns, 104);
+        let metrics = ServeMetrics::new(None, u64::MAX, 4);
+        let trace = metrics.start_trace();
+        assert_eq!(trace.trace_id(), None, "no threshold: stage timing only");
+        assert_eq!(metrics.finish_trace(trace, u64::MAX), None);
+        let unpinned = RequestTrace::traced(TraceId(1), false);
+        assert_eq!(metrics.finish_trace(unpinned, u64::MAX), None);
+        assert!(metrics.traces().is_empty());
     }
 
     #[test]
     fn flight_recorder_keeps_pinned_and_slow_traces() {
-        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)), u64::MAX, 4, 4);
+        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)), u64::MAX, 4);
         // A client-pinned trace is kept regardless of latency.
         let pinned = RequestTrace::traced(TraceId(7), true);
         assert_eq!(metrics.finish_trace(pinned, 0), Some(TraceId(7)));
@@ -668,15 +504,16 @@ mod tests {
 
     #[test]
     fn phase_histograms_record_engine_breakdowns() {
-        let metrics = ServeMetrics::new(None, u64::MAX, SLOW_LOG_CAPACITY, 4);
+        let metrics = ServeMetrics::new(None, u64::MAX, 4);
         let mut stats = QueryStats::new();
         stats.phases.prep_ns = 100;
         stats.phases.expansion_ns = 400;
         stats.phases.lp_ns = 250;
         stats.phases.dominance_ns = 30;
         stats.lp_pivots = 17;
-        metrics.record_phases(&stats);
-        let snap = metrics.snapshot(0, &ServeStats::default());
+        metrics.record_engine(&stats);
+        let snap = metrics.snapshot(0);
+        assert_eq!(snap.histogram("kspr_engine_wall_ns").unwrap().count(), 1);
         for phase in PHASE_NAMES {
             let histogram = snap.histogram(&format!("kspr_phase_{phase}_ns")).unwrap();
             assert_eq!(histogram.count(), 1, "{phase}");
@@ -694,7 +531,7 @@ mod tests {
 
     #[test]
     fn wal_watermark_warns_once_per_epoch() {
-        let metrics = ServeMetrics::new(None, 100, SLOW_LOG_CAPACITY, 4);
+        let metrics = ServeMetrics::new(None, 100, 4);
         metrics.wal_committed(50, 10, true);
         assert!(!metrics.wal_warned.load(Ordering::Relaxed));
         metrics.wal_committed(150, 10, true);
@@ -704,7 +541,7 @@ mod tests {
             !metrics.wal_warned.load(Ordering::Relaxed),
             "a snapshot truncates the WAL and re-arms the warning"
         );
-        let snap = metrics.snapshot(0, &ServeStats::default());
+        let snap = metrics.snapshot(0);
         assert_eq!(snap.counter("kspr_wal_fsyncs"), Some(2));
         assert_eq!(snap.gauge("kspr_wal_bytes"), Some(0));
         assert_eq!(snap.gauge("kspr_snapshot_epoch"), Some(1));

@@ -1,13 +1,14 @@
 //! Loopback round-trips through the full layered stack: a real TCP
 //! connection speaking the `kspr-wire` protocol against a [`NetServer`]
-//! front-end, exercising queries, updates, standing queries, stats, and
-//! protocol errors end to end.
+//! front-end, exercising queries, updates, standing queries, the `Metrics`
+//! counters, protocol errors, and an oversized scrape head end to end.
 
 use kspr::{Algorithm, KsprConfig};
 use kspr_serve::{NetServer, ServeOptions, Server, ShardedEngine};
 use kspr_wire::{read_frame, write_frame, ErrorCode, TierSpec, WireRequest, WireResponse};
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 fn demo_engine() -> ShardedEngine {
     ShardedEngine::new(
@@ -160,25 +161,26 @@ fn a_connection_round_trips_the_whole_protocol() {
     assert_eq!(client.call(WireRequest::Ping), WireResponse::Pong);
 
     // The serving counters are visible over the wire.
-    let response = client.call(WireRequest::Stats);
-    let WireResponse::Stats { fields } = response else {
-        panic!("expected stats, got {response:?}");
+    let response = client.call(WireRequest::Metrics);
+    let WireResponse::Metrics(report) = response else {
+        panic!("expected metrics, got {response:?}");
     };
     let get = |name: &str| {
-        fields
+        report
+            .counters
             .iter()
             .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("missing stats field {name}"))
+            .unwrap_or_else(|| panic!("missing counter {name}"))
             .1
     };
     assert_eq!(
-        get("queries"),
+        get("kspr_queries"),
         2,
         "the exact and the tiered query; the k=0 reject never ran"
     );
-    assert_eq!(get("updates"), 4, "three applied + one no-op delete");
-    assert_eq!(get("subscriptions"), 1);
-    assert_eq!(get("rejected"), 1);
+    assert_eq!(get("kspr_updates"), 4, "three applied + one no-op delete");
+    assert_eq!(get("kspr_subscriptions"), 1);
+    assert_eq!(get("kspr_rejected"), 1);
 
     drop(client);
     net.stop();
@@ -237,6 +239,44 @@ fn dropping_a_connection_unregisters_its_standing_queries() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
 
+    net.stop();
+    server.shutdown();
+}
+
+#[test]
+fn an_unterminated_scrape_head_is_cut_off() {
+    let server = Server::start(demo_engine(), ServeOptions::default());
+    let net = NetServer::bind(server.handle(), "127.0.0.1:0").expect("bind loopback");
+
+    // `GET ` then 64 KiB without a newline: the server stops reading at its
+    // head cap and hangs up instead of buffering the line.
+    let mut scrape = TcpStream::connect(net.local_addr()).expect("scrape connect");
+    let mut request = b"GET ".to_vec();
+    request.resize(4 + (64 << 10), b'a');
+    // The server may reset the connection mid-write; that is the point.
+    let _ = scrape.write_all(&request);
+    scrape
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut answer = Vec::new();
+    // EOF or a reset both mean the server hung up; a timeout means it is
+    // still waiting for the rest of the line.
+    if let Err(err) = scrape.read_to_end(&mut answer) {
+        assert!(
+            !matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "the server must hang up once the head passes its cap"
+        );
+    }
+    assert!(
+        !String::from_utf8_lossy(&answer).contains("200"),
+        "an oversized head must not be answered"
+    );
+
+    // The front-end keeps serving other connections.
+    let mut client = Client::connect(&net);
+    assert_eq!(client.call(WireRequest::Ping), WireResponse::Pong);
+
+    drop(client);
     net.stop();
     server.shutdown();
 }

@@ -1,9 +1,9 @@
 //! The observability acceptance run: a real TCP loopback against a durable
 //! [`NetServer`], a mixed workload (exact / tiered / auto queries, updates,
 //! a standing query, a rejection), then the full telemetry read-back —
-//! the `Metrics` opcode, the Prometheus text scrape, the non-blocking
-//! stats mirror, and the slow-query log — with every pipeline-stage
-//! histogram asserted live and consistent with the delivered answers.
+//! the `Metrics` opcode, the Prometheus text scrape, `stats_now`, and the
+//! flight recorder — with every pipeline-stage histogram asserted live and
+//! consistent with the delivered answers.
 
 use kspr::{Algorithm, KsprConfig};
 use kspr_serve::{NetServer, ServeOptions, Server, ShardedEngine, Stage};
@@ -66,7 +66,7 @@ fn every_pipeline_stage_is_measured_and_served_live() {
     let dir = std::env::temp_dir().join(format!("kspr-telemetry-loopback-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let options = ServeOptions {
-        // Threshold zero: every answered query lands in the slow-query log.
+        // Threshold zero: the flight recorder retains every traced request.
         slow_query_threshold: Some(Duration::ZERO),
         ..ServeOptions::default()
     };
@@ -241,30 +241,37 @@ fn every_pipeline_stage_is_measured_and_served_live() {
         );
     }
 
-    // --- the non-blocking mirror and the slow-query log --------------------
+    // --- stats_now and the flight recorder ---------------------------------
     let stats = handle.stats_now();
     assert_eq!(stats.queries, 3);
     assert_eq!(stats.updates, 3);
     assert_eq!(stats.rejections.total(), stats.rejected);
 
-    let slow = handle.slow_queries();
+    let traces = handle.traces();
+    assert!(traces.iter().all(|record| record.is_well_formed()));
+    // Query trees are the ones with an admission stage (updates have none).
+    let queries: Vec<_> = traces
+        .iter()
+        .filter(|record| record.find("admission").is_some())
+        .collect();
     assert_eq!(
-        slow.len(),
+        queries.len(),
         delivered as usize,
-        "threshold zero retains every answered query"
+        "threshold zero retains every delivered query"
     );
-    for entry in &slow {
-        assert_eq!(entry.algorithm, Algorithm::LpCta);
-        assert_eq!(entry.k, 2);
-        assert!(entry.total_ns > 0);
-        assert!(
-            entry.stages.iter().any(|(_, nanos)| nanos > 0),
-            "a retained query must carry stage timings"
-        );
-    }
-    assert!(
-        slow.iter().any(|entry| entry.stats.is_some()),
-        "exact answers retain their engine QueryStats"
+    let with_phases = queries
+        .iter()
+        .filter(|record| {
+            let engine = record.find("engine").expect("an engine stage span").id;
+            ["prep", "expansion"]
+                .iter()
+                .all(|phase| record.find(phase).is_some_and(|s| s.parent == Some(engine)))
+        })
+        .count();
+    assert_eq!(
+        with_phases as u64,
+        counter(&report, "kspr_exact_queries"),
+        "exact answers carry the engine's phase spans"
     );
 
     drop(client);

@@ -3,14 +3,13 @@
 //! yields a retrievable span tree covering the whole pipeline — the wire
 //! decode, every dispatcher stage, and the engine's phase breakdown — which
 //! the `/trace` HTTP endpoint then serves as well-formed Chrome Trace
-//! Event Format JSON.
+//! Event Format JSON.  A version-1 frame is answered with a protocol error
+//! on a connection that keeps serving.
 
 use kspr::{Algorithm, KsprConfig};
 use kspr_serve::{NetServer, ServeOptions, Server, ShardedEngine, TraceId, TraceRecord};
 use kspr_telemetry::parse_json;
-use kspr_wire::{
-    read_frame, write_frame, WireClient, WireRequest, WireResponse, LEGACY_WIRE_VERSION,
-};
+use kspr_wire::{read_frame, write_frame, ErrorCode, WireClient, WireRequest, WireResponse};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -117,19 +116,33 @@ fn client_trace_ids_round_trip_into_retrievable_span_trees() {
         "without a slow threshold only the two pinned traces are retained"
     );
 
-    // --- a legacy (v1) client gets a legacy response ----------------------
+    // --- a version-1 frame is rejected; the connection keeps serving -----
     let mut legacy = TcpStream::connect(net.local_addr()).expect("legacy connect");
-    write_frame(&mut legacy, &query.encode_legacy()).expect("send legacy frame");
-    let payload = read_frame(&mut legacy).expect("legacy response frame");
-    assert_eq!(
-        payload.first(),
-        Some(&LEGACY_WIRE_VERSION),
-        "a v1 request must be answered with a v1 frame"
+    // Version 1 framed the query as `[1][opcode][fields...]` (no trace slot).
+    let mut v1 = query.encode();
+    v1[0] = 1;
+    v1.remove(2);
+    assert_eq!(WireRequest::decode(&v1), None, "v1 frames no longer decode");
+    write_frame(&mut legacy, &v1).expect("send v1 frame");
+    let payload = read_frame(&mut legacy).expect("error response frame");
+    let response = WireResponse::decode(&payload).expect("a current-version response");
+    assert!(
+        matches!(
+            response,
+            WireResponse::Error {
+                code: ErrorCode::Malformed,
+                ..
+            }
+        ),
+        "got {response:?}"
     );
-    assert!(matches!(
-        WireResponse::decode(&payload),
-        Some(WireResponse::Result(_))
-    ));
+    let mut legacy = WireClient::new(legacy);
+    assert_eq!(
+        legacy
+            .call(&WireRequest::Ping)
+            .expect("ping after the v1 frame"),
+        WireResponse::Pong
+    );
     drop(legacy);
 
     // --- the /trace endpoint on the scrape port ---------------------------

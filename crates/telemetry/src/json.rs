@@ -1,11 +1,12 @@
-//! A minimal JSON reader/escaper for the observability surfaces.
+//! A minimal JSON reader/writer for the observability surfaces.
 //!
 //! The workspace builds offline (no serde), but the chrome-trace exporter,
-//! its tests, and the perf-trajectory checks all need to *consume* JSON.
-//! This is a strict recursive-descent parser over the JSON grammar — objects
-//! keep their key order, numbers are `f64` — plus the string escaper the
-//! exporters share.  It is not a streaming parser and has a fixed recursion
-//! cap; both are fine for telemetry-sized documents.
+//! its tests, and the perf-trajectory tooling all need to consume and
+//! rewrite JSON.  This is a strict recursive-descent parser over the JSON
+//! grammar — objects keep their key order, numbers are `f64` — plus the
+//! writer and string escaper the exporters share.  It is not a streaming
+//! parser and has a fixed recursion cap; both are fine for telemetry-sized
+//! documents.
 
 /// Nesting depth past which [`parse_json`] gives up (defends the stack
 /// against adversarial `[[[[...`).
@@ -257,6 +258,73 @@ pub fn escape_json_into(text: &str, out: &mut String) {
     }
 }
 
+/// Appends `value` to `out` as JSON text.  Containers holding only scalars
+/// stay on one line; the others put each element on its own line, indented
+/// two spaces per level.  Non-finite numbers (which JSON cannot express)
+/// render as `null`.
+pub fn write_json_into(value: &JsonValue, out: &mut String) {
+    write_value(value, out, 0);
+}
+
+fn write_value(value: &JsonValue, out: &mut String, depth: usize) {
+    match value {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Number(n) if n.is_finite() => out.push_str(&n.to_string()),
+        JsonValue::Number(_) => out.push_str("null"),
+        JsonValue::String(s) => write_string(s, out),
+        JsonValue::Array(items) => {
+            write_container(items.iter().map(|v| (None, v)), ('[', ']'), out, depth);
+        }
+        JsonValue::Object(members) => {
+            let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
+            write_container(members, ('{', '}'), out, depth);
+        }
+    }
+}
+
+fn write_string(text: &str, out: &mut String) {
+    out.push('"');
+    escape_json_into(text, out);
+    out.push('"');
+}
+
+fn write_container<'a>(
+    entries: impl Iterator<Item = (Option<&'a str>, &'a JsonValue)> + Clone,
+    (open, close): (char, char),
+    out: &mut String,
+    depth: usize,
+) {
+    let nested = entries
+        .clone()
+        .any(|(_, v)| matches!(v, JsonValue::Array(_) | JsonValue::Object(_)));
+    let indent = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    };
+    out.push(open);
+    for (i, (key, value)) in entries.enumerate() {
+        if i > 0 {
+            out.push(',');
+            if !nested {
+                out.push(' ');
+            }
+        }
+        if nested {
+            indent(out, depth + 1);
+        }
+        if let Some(key) = key {
+            write_string(key, out);
+            out.push_str(": ");
+        }
+        write_value(value, out, depth + 1);
+    }
+    if nested {
+        indent(out, depth);
+    }
+    out.push(close);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +376,32 @@ mod tests {
         assert!(parse_json(&deep).is_none(), "past the recursion cap");
         let ok = "[".repeat(50) + &"]".repeat(50);
         assert!(parse_json(&ok).is_some());
+    }
+
+    #[test]
+    fn writer_round_trips_through_the_parser() {
+        let text = r#"{"section": {"scale": "quick", "n": 1500, "ratio": 0.000123,
+            "big": -2.5e21, "flags": [true, false, null], "empty": {}, "none": [],
+            "rows": [{"k": 1, "name": "a\"b\\c\n"}, [1, [2]]]}}"#;
+        let doc = parse_json(text).expect("valid document");
+        let mut written = String::new();
+        write_json_into(&doc, &mut written);
+        assert_eq!(parse_json(&written), Some(doc.clone()), "{written}");
+        // Rewriting is a fixed point: the rendering is canonical.
+        let mut again = String::new();
+        write_json_into(&parse_json(&written).unwrap(), &mut again);
+        assert_eq!(written, again);
+        assert!(
+            written.contains("\"flags\": [true, false, null]"),
+            "{written}"
+        );
+
+        let mut nan = String::new();
+        write_json_into(
+            &JsonValue::Array(vec![JsonValue::Number(f64::NAN)]),
+            &mut nan,
+        );
+        assert_eq!(nan, "[null]");
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! * [`TraceRecord`] / [`FlightRecorder`] — completed span trees and the
 //!   bounded ring retaining the most recent ones; [`chrome_trace_json`]
 //!   exports any set of records as Chrome Trace Event Format JSON.
-//! * [`parse_json`] — a strict, dependency-free JSON reader for the
-//!   trace/perf tooling that consumes those exports.
+//! * [`parse_json`] / [`write_json_into`] — a strict, dependency-free JSON
+//!   reader and writer for the trace/perf tooling that consumes those
+//!   exports.
 //!
 //! The crate deliberately has no dependencies (not even intra-workspace):
 //! every layer of the stack — `kspr-durable`'s WAL, `kspr-serve`'s
@@ -34,7 +35,7 @@ mod trace;
 
 pub use histogram::{bucket_high, bucket_index, bucket_low, Histogram, HistogramSnapshot};
 pub use histogram::{NUM_BUCKETS, SUBBUCKETS};
-pub use json::{escape_json_into, parse_json, JsonValue};
+pub use json::{escape_json_into, parse_json, write_json_into, JsonValue};
 pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use span::{chrome_trace_json, FlightRecorder, Span, SpanId, TraceId, TraceRecord};
 pub use trace::{RequestTrace, Stage, StageTimings};

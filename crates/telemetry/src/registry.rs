@@ -50,6 +50,11 @@ impl Gauge {
         self.0.store(value, Ordering::Relaxed);
     }
 
+    /// Raises the value to `value` if it is higher — a high-water mark.
+    pub fn set_max(&self, value: u64) {
+        self.0.fetch_max(value, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -131,8 +136,7 @@ impl MetricsRegistry {
     }
 }
 
-/// A consistent plain-value view of a [`MetricsRegistry`] (plus whatever
-/// extra counters the embedder folds in), sorted by name.
+/// A consistent plain-value view of a [`MetricsRegistry`], sorted by name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Monotonic counters as `(name, value)`.
@@ -216,6 +220,8 @@ mod tests {
         registry.counter("a_requests").inc();
         registry.counter("b_requests").inc();
         registry.gauge("depth").set(7);
+        registry.gauge("peak").set_max(5);
+        registry.gauge("peak").set_max(3);
         registry.histogram("lat").record(1000);
 
         let snap = registry.snapshot();
@@ -224,6 +230,11 @@ mod tests {
             vec![("a_requests".into(), 1), ("b_requests".into(), 3)]
         );
         assert_eq!(snap.gauge("depth"), Some(7));
+        assert_eq!(
+            snap.gauge("peak"),
+            Some(5),
+            "a high-water mark, not last-write"
+        );
         assert_eq!(snap.histogram("lat").unwrap().count(), 1);
         assert_eq!(snap.counter("missing"), None);
     }

@@ -5,16 +5,14 @@
 //!
 //! ```text
 //! [len: u32 LE][payload: len bytes]
-//! payload v2 = [2: u8][opcode: u8][trace flag: u8][trace id: u64 LE, iff flag = 1][fields...]
-//! payload v1 = [1: u8][opcode: u8][fields...]
+//! payload = [2: u8][opcode: u8][trace flag: u8][trace id: u64 LE, iff flag = 1][fields...]
 //! ```
 //!
-//! Version 2 adds an optional **trace id** between the opcode and the
-//! fields: a client that supplies one gets it echoed on the response and can
-//! later fetch the server-side span tree for that request from the flight
-//! recorder.  Version-1 frames (no trace slot) still decode, and the client
-//! can emit them via the `encode_legacy` entry points, so old and new peers
-//! interoperate in both directions.
+//! The optional **trace id** sits between the opcode and the fields: a
+//! client that supplies one gets it echoed on the response and can later
+//! fetch the server-side span tree for that request from the flight
+//! recorder.  Only [`WIRE_VERSION`] is spoken; a frame of any other version
+//! (including version 1, which had no trace slot) does not decode.
 //!
 //! The codec is hand-rolled (the workspace builds offline, so no serde):
 //! every field is little-endian fixed-width or a `u32`-counted sequence, and
@@ -45,12 +43,9 @@ pub use message::{
 
 use std::io::{Read, Write};
 
-/// Protocol version carried in every payload this crate encodes.
+/// Protocol version carried in every payload this crate encodes, and the
+/// only one it decodes.
 pub const WIRE_VERSION: u8 = 2;
-
-/// The previous protocol version (no trace-id slot), still accepted on
-/// decode so deployed peers keep working across the bump.
-pub const LEGACY_WIRE_VERSION: u8 = 1;
 
 /// A blocking request/response client over any framed byte stream.
 ///
@@ -87,7 +82,7 @@ impl<S: Read + Write> WireClient<S> {
 
     /// Sends one request carrying an optional client-chosen trace id and
     /// blocks for its response, returning the trace id the server echoed
-    /// (normally the one sent; `None` from a legacy peer).
+    /// (the one sent).
     pub fn call_traced(
         &mut self,
         request: &WireRequest,

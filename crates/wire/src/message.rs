@@ -3,7 +3,7 @@
 use crate::codec::{
     get_f64, get_row, get_str, get_u32, get_u64, get_u8, put_f64, put_row, put_str, put_u64,
 };
-use crate::{LEGACY_WIRE_VERSION, WIRE_VERSION};
+use crate::WIRE_VERSION;
 use kspr::approximate::{ErrorBudget, QueryTier};
 use kspr::Algorithm;
 
@@ -145,10 +145,8 @@ pub enum WireRequest {
     },
     /// Admin: number of registered standing queries.
     Subscriptions,
-    /// Admin: serving counters snapshot.
-    Stats,
-    /// Admin: live telemetry snapshot (counters, gauges, latency-histogram
-    /// summaries).
+    /// Admin: live telemetry snapshot (every serving counter and gauge,
+    /// latency-histogram summaries).
     Metrics,
 }
 
@@ -300,11 +298,6 @@ pub enum WireResponse {
         /// The requested count.
         value: u64,
     },
-    /// Answer to `Stats`: labelled counters, order-stable per server build.
-    Stats {
-        /// `(name, value)` counter pairs.
-        fields: Vec<(String, u64)>,
-    },
     /// Answer to `Metrics`: the live telemetry snapshot.
     Metrics(MetricsReport),
 }
@@ -318,7 +311,6 @@ const REQ_SUBSCRIBE: u8 = 6;
 const REQ_UNSUBSCRIBE: u8 = 7;
 const REQ_POLL_DELTAS: u8 = 8;
 const REQ_SUBSCRIPTIONS: u8 = 9;
-const REQ_STATS: u8 = 10;
 const REQ_METRICS: u8 = 11;
 
 const RESP_ERROR: u8 = 0;
@@ -331,7 +323,6 @@ const RESP_SUBSCRIBED: u8 = 6;
 const RESP_UNSUBSCRIBED: u8 = 7;
 const RESP_DELTAS: u8 = 8;
 const RESP_COUNT: u8 = 9;
-const RESP_STATS: u8 = 10;
 const RESP_METRICS: u8 = 11;
 
 const TIER_EXACT: u8 = 0;
@@ -480,26 +471,23 @@ fn header(opcode: u8) -> Vec<u8> {
     vec![WIRE_VERSION, opcode, 0]
 }
 
-/// Decodes the shared prefix of both supported versions — v2
-/// `[version][opcode][trace flag][trace id?]`, v1 `[version][opcode]` —
-/// yielding the opcode, the field offset and the trace id (if any).
+/// Decodes the prefix `[version][opcode][trace flag][trace id?]`, yielding
+/// the opcode, the field offset and the trace id (if any).
 fn open(payload: &[u8]) -> Option<(u8, usize, Option<u64>)> {
     let mut at = 0;
-    let version = get_u8(payload, &mut at)?;
+    if get_u8(payload, &mut at)? != WIRE_VERSION {
+        return None;
+    }
     let opcode = get_u8(payload, &mut at)?;
-    let trace_id = match version {
-        LEGACY_WIRE_VERSION => None,
-        WIRE_VERSION => match get_u8(payload, &mut at)? {
-            0 => None,
-            1 => Some(get_u64(payload, &mut at)?),
-            _ => return None,
-        },
+    let trace_id = match get_u8(payload, &mut at)? {
+        0 => None,
+        1 => Some(get_u64(payload, &mut at)?),
         _ => return None,
     };
     Some((opcode, at, trace_id))
 }
 
-/// Rewrites an [`header`]-prefixed v2 payload to carry `trace_id`.
+/// Rewrites an [`header`]-prefixed payload to carry `trace_id`.
 fn with_trace(out: Vec<u8>, trace_id: Option<u64>) -> Vec<u8> {
     let Some(id) = trace_id else { return out };
     let mut spliced = Vec::with_capacity(out.len() + 8);
@@ -508,15 +496,6 @@ fn with_trace(out: Vec<u8>, trace_id: Option<u64>) -> Vec<u8> {
     spliced.extend_from_slice(&id.to_le_bytes());
     spliced.extend_from_slice(&out[3..]);
     spliced
-}
-
-/// Rewrites an [`header`]-prefixed v2 payload (trace flag 0) into the v1
-/// framing a legacy peer expects.
-fn to_legacy(mut out: Vec<u8>) -> Vec<u8> {
-    debug_assert_eq!(out[2], 0, "legacy frames cannot carry a trace id");
-    out[0] = LEGACY_WIRE_VERSION;
-    out.remove(2);
-    out
 }
 
 /// Requires the whole payload to have been consumed.
@@ -585,20 +564,14 @@ impl WireRequest {
                 out
             }
             WireRequest::Subscriptions => header(REQ_SUBSCRIPTIONS),
-            WireRequest::Stats => header(REQ_STATS),
             WireRequest::Metrics => header(REQ_METRICS),
         }
     }
 
-    /// [`WireRequest::encode`] with an optional trace id in the v2 trace
+    /// [`WireRequest::encode`] with an optional trace id in the trace
     /// slot.
     pub fn encode_traced(&self, trace_id: Option<u64>) -> Vec<u8> {
         with_trace(self.encode(), trace_id)
-    }
-
-    /// Encodes to a version-1 payload (no trace slot) for legacy peers.
-    pub fn encode_legacy(&self) -> Vec<u8> {
-        to_legacy(self.encode())
     }
 
     /// Decodes one frame payload; `None` on any structural problem.
@@ -641,7 +614,6 @@ impl WireRequest {
                 token: get_u64(payload, &mut at)?,
             },
             REQ_SUBSCRIPTIONS => WireRequest::Subscriptions,
-            REQ_STATS => WireRequest::Stats,
             REQ_METRICS => WireRequest::Metrics,
             _ => return None,
         };
@@ -707,11 +679,6 @@ impl WireResponse {
                 put_u64(&mut out, *value);
                 out
             }
-            WireResponse::Stats { fields } => {
-                let mut out = header(RESP_STATS);
-                put_fields(&mut out, fields);
-                out
-            }
             WireResponse::Metrics(report) => {
                 let mut out = header(RESP_METRICS);
                 put_fields(&mut out, &report.counters);
@@ -725,15 +692,10 @@ impl WireResponse {
         }
     }
 
-    /// [`WireResponse::encode`] with an optional trace id in the v2 trace
+    /// [`WireResponse::encode`] with an optional trace id in the trace
     /// slot (servers echo the id the request carried).
     pub fn encode_traced(&self, trace_id: Option<u64>) -> Vec<u8> {
         with_trace(self.encode(), trace_id)
-    }
-
-    /// Encodes to a version-1 payload (no trace slot) for legacy peers.
-    pub fn encode_legacy(&self) -> Vec<u8> {
-        to_legacy(self.encode())
     }
 
     /// Decodes one frame payload; `None` on any structural problem.
@@ -794,9 +756,6 @@ impl WireResponse {
             }
             RESP_COUNT => WireResponse::Count {
                 value: get_u64(payload, &mut at)?,
-            },
-            RESP_STATS => WireResponse::Stats {
-                fields: get_fields(payload, &mut at)?,
             },
             RESP_METRICS => {
                 let counters = get_fields(payload, &mut at)?;
@@ -870,7 +829,6 @@ mod tests {
             WireRequest::Unsubscribe { token: 7 },
             WireRequest::PollDeltas { token: 7 },
             WireRequest::Subscriptions,
-            WireRequest::Stats,
             WireRequest::Metrics,
         ]
     }
@@ -909,9 +867,6 @@ mod tests {
                 closed: true,
             },
             WireResponse::Count { value: 11 },
-            WireResponse::Stats {
-                fields: vec![("queries".into(), 100), ("degraded_to_approx".into(), 4)],
-            },
             WireResponse::Metrics(MetricsReport {
                 counters: vec![("kspr_wal_fsyncs".into(), 12)],
                 gauges: vec![
@@ -1034,29 +989,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_frames_still_decode() {
+    fn legacy_frames_are_rejected() {
+        // Version 1 framed the same messages as `[1][opcode][fields...]`,
+        // without the trace slot.
+        let legacy = |mut bytes: Vec<u8>| {
+            bytes[0] = 1;
+            bytes.remove(2);
+            bytes
+        };
         for request in every_request() {
-            let bytes = request.encode_legacy();
-            assert_eq!(bytes[0], LEGACY_WIRE_VERSION);
-            assert_eq!(
-                WireRequest::decode_traced(&bytes),
-                Some((request.clone(), None)),
-                "{request:?}"
-            );
-            for cut in 0..bytes.len() {
-                assert!(
-                    WireRequest::decode(&bytes[..cut]).is_none(),
-                    "{request:?} cut at {cut}"
-                );
-            }
+            let bytes = legacy(request.encode());
+            assert!(WireRequest::decode(&bytes).is_none(), "{request:?}");
         }
         for response in every_response() {
-            let bytes = response.encode_legacy();
-            assert_eq!(
-                WireResponse::decode_traced(&bytes),
-                Some((response.clone(), None)),
-                "{response:?}"
-            );
+            let bytes = legacy(response.encode());
+            assert!(WireResponse::decode(&bytes).is_none(), "{response:?}");
         }
     }
 
