@@ -74,7 +74,7 @@
 //! assert!(estimate.covers(estimate.impact));
 //! ```
 
-use kspr::{Algorithm, ApproxImpact, ApproxOptions, ColumnarBlock, Dataset, ErrorBudget};
+use kspr::{Algorithm, ApproxImpact, ColumnarBlock, Dataset, ErrorBudget};
 use kspr::{KsprResult, QueryEngine, RecordId};
 
 // Re-exported so tier-dispatch consumers only need a `kspr-approx`
@@ -150,15 +150,6 @@ pub fn estimated_cost(engine: &QueryEngine, k: usize) -> f64 {
     arrangement_cost(band, work_dim)
 }
 
-/// Accumulated per-focal sampling outcome of one chunk of the sweep.
-struct ChunkHits {
-    /// Hit count per focal record.
-    counts: Vec<u64>,
-    /// Hit weight vectors per focal record (empty unless the sketch is
-    /// retained).
-    hits: Vec<Vec<Vec<f64>>>,
-}
-
 /// One worker's share of a pooled estimate: raw per-focal hit counts over
 /// `samples` independent draws.  Partial estimates from independent sample
 /// streams (e.g. one per serving shard) pool by summing hit and sample
@@ -169,8 +160,6 @@ pub struct PartialEstimate {
     pub hits: Vec<u64>,
     /// Number of samples drawn.
     pub samples: usize,
-    /// Retained hit sketch per focal record (empty unless requested).
-    pub sketches: Vec<Vec<Vec<f64>>>,
 }
 
 /// Pools partial estimates from independent uniform sample streams into one
@@ -192,24 +181,18 @@ pub fn pool_estimates(partials: Vec<PartialEstimate>, confidence: f64) -> Vec<Ap
     let total: usize = partials.iter().map(|p| p.samples).sum();
     let half_width = hoeffding_half_width(confidence, total);
     let mut counts = vec![0u64; focal_count];
-    let mut hits: Vec<Vec<Vec<f64>>> = vec![Vec::new(); focal_count];
     for partial in partials {
         assert_eq!(partial.hits.len(), focal_count, "focal count mismatch");
         for (slot, count) in counts.iter_mut().zip(&partial.hits) {
             *slot += count;
         }
-        for (all, sketch) in hits.iter_mut().zip(partial.sketches) {
-            all.extend(sketch);
-        }
     }
     counts
         .into_iter()
-        .zip(hits)
-        .map(|(count, hits)| ApproxImpact {
+        .map(|count| ApproxImpact {
             impact: count as f64 / total as f64,
             half_width,
             samples: total,
-            hits,
         })
         .collect()
 }
@@ -321,44 +304,15 @@ impl ApproxEngine {
         budget: &ErrorBudget,
         seed: u64,
     ) -> Vec<ApproxImpact> {
-        self.estimate_batch_with(focals, budget, seed, &ApproxOptions::default())
-    }
-
-    /// [`ApproxEngine::estimate_batch`] with explicit [`ApproxOptions`].
-    pub fn estimate_batch_with(
-        &self,
-        focals: &[Vec<f64>],
-        budget: &ErrorBudget,
-        seed: u64,
-        options: &ApproxOptions,
-    ) -> Vec<ApproxImpact> {
-        self.estimate_batch_samples(focals, budget.samples(), budget.confidence, seed, options)
-    }
-
-    /// The sweep under an explicit sample count (the entry point the sharded
-    /// serving layer uses to allocate one global sample budget across
-    /// shards; per-shard partial estimates pool by summing hit and sample
-    /// counts).
-    ///
-    /// # Panics
-    /// Panics if `samples == 0`, `confidence` is outside `(0, 1)`, or any
-    /// focal arity does not match the dataset.
-    pub fn estimate_batch_samples(
-        &self,
-        focals: &[Vec<f64>],
-        samples: usize,
-        confidence: f64,
-        seed: u64,
-        options: &ApproxOptions,
-    ) -> Vec<ApproxImpact> {
+        let samples = budget.samples();
         if focals.is_empty() {
             // Still validate the request shape.
-            let _ = hoeffding_half_width(confidence, samples);
+            let _ = hoeffding_half_width(budget.confidence, samples);
             return Vec::new();
         }
         pool_estimates(
-            vec![self.sample_batch(focals, samples, seed, options)],
-            confidence,
+            vec![self.sample_batch(focals, samples, seed)],
+            budget.confidence,
         )
     }
 
@@ -372,13 +326,7 @@ impl ApproxEngine {
     /// # Panics
     /// Panics if `samples == 0` or any focal arity does not match the
     /// dataset.
-    pub fn sample_batch(
-        &self,
-        focals: &[Vec<f64>],
-        samples: usize,
-        seed: u64,
-        options: &ApproxOptions,
-    ) -> PartialEstimate {
+    pub fn sample_batch(&self, focals: &[Vec<f64>], samples: usize, seed: u64) -> PartialEstimate {
         assert!(samples > 0, "at least one sample is required");
         for focal in focals {
             assert_eq!(
@@ -394,44 +342,32 @@ impl ApproxEngine {
         let workers = rayon::current_num_threads().max(1);
         let chunk_len = samples.div_ceil(workers).max(1);
         let chunks: Vec<&[Vec<f64>]> = points.chunks(chunk_len).collect();
-        let partials: Vec<ChunkHits> = chunks
+        let partials: Vec<Vec<u64>> = chunks
             .par_iter()
-            .map(|chunk| self.sweep_chunk(chunk, focals, options))
+            .map(|chunk| self.sweep_chunk(chunk, focals))
             .collect();
 
         let mut counts = vec![0u64; focals.len()];
-        let mut hits: Vec<Vec<Vec<f64>>> = vec![Vec::new(); focals.len()];
         for partial in partials {
-            for (total, count) in counts.iter_mut().zip(&partial.counts) {
+            for (total, count) in counts.iter_mut().zip(&partial) {
                 *total += count;
-            }
-            if options.keep_hits {
-                for (all, chunk_hits) in hits.iter_mut().zip(partial.hits) {
-                    all.extend(chunk_hits);
-                }
             }
         }
         PartialEstimate {
             hits: counts,
             samples,
-            sketches: hits,
         }
     }
 
     /// Scores one chunk of samples against the candidate set: per sample,
     /// every candidate's score and the `k`-th largest are computed once;
     /// each focal record's probe is then one dot product and comparison.
-    fn sweep_chunk(
-        &self,
-        chunk: &[Vec<f64>],
-        focals: &[Vec<f64>],
-        options: &ApproxOptions,
-    ) -> ChunkHits {
+    /// Returns the hit count per focal record.
+    fn sweep_chunk(&self, chunk: &[Vec<f64>], focals: &[Vec<f64>]) -> Vec<u64> {
         let k = self.k;
         let d = self.dim;
         let m = self.num_candidates();
         let mut counts = vec![0u64; focals.len()];
-        let mut hits: Vec<Vec<Vec<f64>>> = vec![Vec::new(); focals.len()];
         // Scores are recomputed per sample, so the in-place select below may
         // freely scramble the buffer.
         let mut scores = vec![0.0f64; m];
@@ -458,13 +394,10 @@ impl ApproxEngine {
             for (slot, focal) in focals.iter().enumerate() {
                 if threshold <= dot(focal, weight) + TIE_EPS {
                     counts[slot] += 1;
-                    if options.keep_hits {
-                        hits[slot].push(w.clone());
-                    }
                 }
             }
         }
-        ChunkHits { counts, hits }
+        counts
     }
 }
 
@@ -536,30 +469,62 @@ mod tests {
             .collect()
     }
 
+    /// Focal records near the top of `random_raw` data, so their impact is
+    /// neither 0 nor 1 and the probes below see both hits and misses.
+    fn competitive_focals(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut focals = random_raw(n, d, seed);
+        for value in focals.iter_mut().flatten() {
+            *value = 0.7 + 0.25 * *value;
+        }
+        focals
+    }
+
+    /// Per-focal hit (1) or miss (0) on the single preference vector that
+    /// `seed` draws: a one-sample probe, so equal probes over many seeds
+    /// compare individual sampling decisions, not just their totals.
+    fn probe(sampler: &ApproxEngine, focals: &[Vec<f64>], seed: u64) -> Vec<u64> {
+        sampler.sample_batch(focals, 1, seed).hits
+    }
+
+    const PROBE_SEEDS: std::ops::Range<u64> = 0..200;
+
+    /// Asserts that a probe run saw both outcomes, so the comparison it
+    /// backed was not vacuous.
+    fn assert_mixed(hits: usize, probes: usize) {
+        assert!(
+            hits > 0 && hits < probes,
+            "the probes must see both hits and misses: {hits} of {probes}"
+        );
+    }
+
     #[test]
     fn batched_estimates_are_bit_identical_to_single_estimates() {
         let dataset = Dataset::new(random_raw(250, 4, 1));
         let sampler = ApproxEngine::from_dataset(&dataset, 6);
         let budget = ErrorBudget::new(0.08, 0.9);
-        let focals: Vec<Vec<f64>> = random_raw(5, 4, 2);
-        let batch = sampler.estimate_batch_with(&focals, &budget, 7, &ApproxOptions::with_hits());
+        let focals = competitive_focals(5, 4, 2);
+        let batch = sampler.estimate_batch(&focals, &budget, 7);
         for (focal, from_batch) in focals.iter().zip(&batch) {
-            let alone = sampler
-                .estimate_batch_with(
-                    std::slice::from_ref(focal),
-                    &budget,
-                    7,
-                    &ApproxOptions::with_hits(),
-                )
-                .pop()
-                .unwrap();
+            let alone = sampler.estimate(focal, &budget, 7);
             assert_eq!(
                 from_batch.impact, alone.impact,
                 "shared sweep must not change hits"
             );
             assert_eq!(from_batch.samples, alone.samples);
-            assert_eq!(from_batch.hits, alone.hits, "same seed, same sketch");
         }
+        let mut hits = 0;
+        for seed in PROBE_SEEDS {
+            let batched = probe(&sampler, &focals, seed);
+            for (focal, hit) in focals.iter().zip(batched) {
+                assert_eq!(
+                    probe(&sampler, std::slice::from_ref(focal), seed),
+                    [hit],
+                    "seed {seed}: same sample, same decision"
+                );
+                hits += hit as usize;
+            }
+        }
+        assert_mixed(hits, PROBE_SEEDS.count() * focals.len());
     }
 
     #[test]
@@ -580,13 +545,23 @@ mod tests {
             banded.num_candidates()
         );
         let budget = ErrorBudget::new(0.05, 0.95);
-        let focals = random_raw(4, 3, 4);
-        let a = banded.estimate_batch_with(&focals, &budget, 11, &ApproxOptions::with_hits());
-        let b = full.estimate_batch_with(&focals, &budget, 11, &ApproxOptions::with_hits());
+        let focals = competitive_focals(4, 3, 4);
+        let a = banded.estimate_batch(&focals, &budget, 11);
+        let b = full.estimate_batch(&focals, &budget, 11);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.impact, y.impact, "pruning changed a hit decision");
-            assert_eq!(x.hits, y.hits);
         }
+        let mut hits = 0;
+        for seed in PROBE_SEEDS {
+            let decisions = probe(&banded, &focals, seed);
+            assert_eq!(
+                decisions,
+                probe(&full, &focals, seed),
+                "seed {seed}: pruning changed a hit decision"
+            );
+            hits += decisions.iter().sum::<u64>() as usize;
+        }
+        assert_mixed(hits, PROBE_SEEDS.count() * focals.len());
     }
 
     #[test]
@@ -598,34 +573,83 @@ mod tests {
         let dataset = Dataset::new(raw.clone());
         let k = 4;
         let sampler = ApproxEngine::from_dataset(&dataset, k);
-        let focal = vec![0.8, 0.75, 0.7];
-        let budget = ErrorBudget::new(0.1, 0.9);
-        let estimate = sampler
-            .estimate_batch_with(
-                std::slice::from_ref(&focal),
-                &budget,
-                13,
-                &ApproxOptions::with_hits(),
-            )
-            .pop()
-            .unwrap();
-        let mut rng = SmallRng::seed_from_u64(13);
-        let points = sampler.space().sample_many(estimate.samples, &mut rng);
-        let mut oracle_hits = 0usize;
-        for w in &points {
-            let full = sampler.space().to_full_weight(w);
-            if kspr::naive::is_top_k(&raw, &focal, &full, k) {
-                oracle_hits += 1;
-            }
-        }
-        assert_eq!(
-            estimate.hits.len(),
-            oracle_hits,
-            "sweep and oracle disagree on the same sample stream"
-        );
+        let focal = vec![0.97, 0.85, 0.8];
+        let is_top_k = |seed: u64, samples: usize| -> Vec<bool> {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let space = sampler.space();
+            space
+                .sample_many(samples, &mut rng)
+                .iter()
+                .map(|w| kspr::naive::is_top_k(&raw, &focal, &space.to_full_weight(w), k))
+                .collect()
+        };
+
+        let estimate = sampler.estimate(&focal, &ErrorBudget::new(0.1, 0.9), 13);
+        let oracle_hits = is_top_k(13, estimate.samples)
+            .iter()
+            .filter(|&&h| h)
+            .count();
         assert_eq!(
             estimate.impact,
-            oracle_hits as f64 / estimate.samples as f64
+            oracle_hits as f64 / estimate.samples as f64,
+            "sweep and oracle disagree on the same sample stream"
+        );
+
+        let mut hits = 0;
+        for seed in PROBE_SEEDS {
+            let want = is_top_k(seed, 1)[0];
+            let got = probe(&sampler, std::slice::from_ref(&focal), seed);
+            assert_eq!(got, [u64::from(want)], "seed {seed}");
+            hits += usize::from(want);
+        }
+        assert_mixed(hits, PROBE_SEEDS.count());
+    }
+
+    #[test]
+    fn unbeatable_record_has_impact_one() {
+        let dataset = Dataset::new(vec![vec![0.1, 0.1], vec![0.2, 0.3]]);
+        let estimate = ApproxEngine::from_dataset(&dataset, 1).estimate(
+            &[0.9, 0.9],
+            &ErrorBudget::default(),
+            1,
+        );
+        assert_eq!(estimate.impact, 1.0);
+        assert_eq!(estimate.upper(), 1.0, "the interval clamps to [0, 1]");
+        assert!(estimate.lower() < 1.0);
+        assert!(estimate.covers(1.0));
+    }
+
+    #[test]
+    fn hopeless_record_has_impact_zero() {
+        let dataset = Dataset::new(vec![vec![0.9, 0.9], vec![0.8, 0.95]]);
+        let estimate = ApproxEngine::from_dataset(&dataset, 1).estimate(
+            &[0.1, 0.1],
+            &ErrorBudget::default(),
+            2,
+        );
+        assert_eq!(estimate.impact, 0.0);
+        assert_eq!(estimate.lower(), 0.0, "the interval clamps to [0, 1]");
+        assert!(estimate.covers(0.0));
+    }
+
+    #[test]
+    fn tombstoned_records_never_influence_the_estimate() {
+        // Record 0 dominates the focal record, so while it is live the focal
+        // record can never be top-1 (impact 0); once deleted, the focal
+        // record beats everything that is left (impact 1).
+        let mut store = kspr::DatasetStore::from_raw(vec![vec![0.9, 0.9], vec![0.2, 0.2]]);
+        let focal = vec![0.5, 0.5];
+        let budget = ErrorBudget::default();
+        let before = ApproxEngine::from_dataset(store.dataset(), 1).estimate(&focal, &budget, 21);
+        assert_eq!(before.impact, 0.0);
+
+        assert_eq!(store.delete(0), Some(vec![0.9, 0.9]));
+        let sampler = ApproxEngine::from_dataset(store.dataset(), 1);
+        assert_eq!(sampler.num_candidates(), 1, "the tombstone is no candidate");
+        let after = sampler.estimate(&focal, &budget, 21);
+        assert_eq!(
+            after.impact, 1.0,
+            "a deleted dominator must not suppress the estimate"
         );
     }
 

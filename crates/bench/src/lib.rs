@@ -3,8 +3,8 @@
 //! This crate hosts two things:
 //!
 //! * a small library of **workload builders** and **measurement helpers**
-//!   shared by the Criterion benches (`benches/`) and the `experiments`
-//!   binary, and
+//!   used by the `experiments` binary and the client-side `perfbench`
+//!   package, and
 //! * the `experiments` binary itself, which regenerates every table and
 //!   figure of the paper's evaluation (Section 7 and Appendices A–D) and
 //!   prints the same rows / series the paper reports.
@@ -924,8 +924,8 @@ impl ParallelScaling {
 /// expansion (the work-stealing pool only reorders the read-only classify
 /// phase; the apply phase replays decisions in the sequential DFS order), so
 /// every worker count's results are asserted equal to the first count's —
-/// region counts, rank signatures and the work-visible stats, excluding only
-/// the `parallel_inserts` scheduling counter.
+/// region counts, rank signatures and the work-visible stats (the timing
+/// block, with its `parallel_inserts` scheduling counter, compares equal).
 ///
 /// # Panics
 /// Panics if any worker count changes any query's result or stats.
@@ -947,7 +947,7 @@ pub fn measure_parallel_scaling(
         );
         // Warm the shared prep and verify against the first worker count.
         let warm: Vec<KsprResult> = focals.iter().map(|f| engine.run(algorithm, f, k)).collect();
-        let parallel_inserts: usize = warm.iter().map(|r| r.stats.parallel_inserts).sum();
+        let parallel_inserts: usize = warm.iter().map(|r| r.stats.phases.parallel_inserts).sum();
         match &reference {
             None => reference = Some(warm),
             Some(want) => {
@@ -962,14 +962,8 @@ pub fn measure_parallel_scaling(
                         want.rank_signature(),
                         "worker count {workers} changed a rank signature"
                     );
-                    let mut a = got.stats.clone();
-                    let mut b = want.stats.clone();
-                    a.parallel_inserts = 0;
-                    b.parallel_inserts = 0;
-                    a.wall_time_ns = 0;
-                    b.wall_time_ns = 0;
                     assert_eq!(
-                        a, b,
+                        got.stats, want.stats,
                         "worker count {workers} changed the stats-visible work"
                     );
                 }

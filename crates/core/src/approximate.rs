@@ -2,26 +2,24 @@
 //!
 //! The conclusion of the paper names "approximate kSPR algorithms, with
 //! accuracy guarantees, for the purpose of faster processing" as future work.
-//! This module provides the Monte-Carlo primitives for that direction:
+//! This module holds the vocabulary of that direction; the sampler itself
+//! (`ApproxEngine`) lives in the `kspr-approx` crate:
 //!
-//! * the **market impact** estimator [`approximate_impact`] (the probability
-//!   that the focal record is in the top-`k` for a uniformly random
-//!   preference vector), with a Hoeffding confidence interval,
+//! * the **estimate** type ([`ApproxImpact`]): a market-impact point
+//!   estimate (the probability that the focal record is in the top-`k` for a
+//!   uniformly random preference vector) with its Hoeffding interval,
 //! * the **error budget** vocabulary ([`ErrorBudget`]) that turns a caller's
 //!   `(epsilon, confidence)` requirement into a sample count via the
-//!   Hoeffding bound, and
+//!   Hoeffding bound ([`samples_for_accuracy`], [`hoeffding_half_width`]),
+//!   and
 //! * the **query tier** knob ([`QueryTier`]) consumed by
-//!   [`crate::config::KsprConfig`] and dispatched by the `kspr-approx` crate,
-//!   which hosts the batched sampling engine built on these primitives.
+//!   [`crate::config::KsprConfig`] and dispatched by `kspr-approx`.
 //!
-//! The estimator evaluates the query definition directly (a top-`k` probe per
-//! sample), so its cost is `O(samples · n)` and independent of the arrangement
-//! complexity — it stays cheap exactly where the exact algorithms become
-//! expensive (large `k`, high dimensionality, anti-correlated data).
-
-use crate::dataset::Dataset;
-use crate::naive;
-use kspr_geometry::PreferenceSpace;
+//! A sampled estimate evaluates the query definition directly (a top-`k`
+//! probe per sample), so its cost is `O(samples · n)` and independent of the
+//! arrangement complexity — it stays cheap exactly where the exact
+//! algorithms become expensive (large `k`, high dimensionality,
+//! anti-correlated data).
 
 /// Half-width of the two-sided Hoeffding interval at confidence level
 /// `confidence` after `samples` draws:
@@ -166,23 +164,6 @@ impl QueryTier {
     }
 }
 
-/// Estimator options.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ApproxOptions {
-    /// Retain the sampled preference vectors for which the focal record was
-    /// in the top-`k` (a discrete sketch of the kSPR regions) in
-    /// [`ApproxImpact::hits`].  Off by default: the sketch clones every hit
-    /// weight vector, which the serving hot path never reads.
-    pub keep_hits: bool,
-}
-
-impl ApproxOptions {
-    /// Options with the hit sketch retained.
-    pub fn with_hits() -> Self {
-        Self { keep_hits: true }
-    }
-}
-
 /// Result of the Monte-Carlo kSPR approximation.
 #[derive(Debug, Clone)]
 pub struct ApproxImpact {
@@ -193,10 +174,6 @@ pub struct ApproxImpact {
     pub half_width: f64,
     /// Number of samples used.
     pub samples: usize,
-    /// The sampled working-space preferences for which the focal record was
-    /// in the top-`k` — retained only under [`ApproxOptions::keep_hits`],
-    /// empty otherwise.
-    pub hits: Vec<Vec<f64>>,
 }
 
 impl ApproxImpact {
@@ -216,72 +193,6 @@ impl ApproxImpact {
     }
 }
 
-/// Estimates the market impact of `focal` by sampling `samples` preference
-/// vectors uniformly from the transformed preference space, without
-/// retaining the hit sketch (see [`approximate_impact_with`]).
-///
-/// `confidence` is the two-sided confidence level of the reported interval
-/// (e.g. `0.95`); the half-width follows from Hoeffding's inequality:
-/// `sqrt(ln(2 / (1 - confidence)) / (2 · samples))`.
-///
-/// # Panics
-/// Panics if `samples == 0`, `k == 0`, or `confidence` is not in `(0, 1)`.
-pub fn approximate_impact(
-    dataset: &Dataset,
-    focal: &[f64],
-    k: usize,
-    samples: usize,
-    confidence: f64,
-    seed: u64,
-) -> ApproxImpact {
-    approximate_impact_with(
-        dataset,
-        focal,
-        k,
-        samples,
-        confidence,
-        seed,
-        &ApproxOptions::default(),
-    )
-}
-
-/// Like [`approximate_impact`], with explicit [`ApproxOptions`] — pass
-/// [`ApproxOptions::with_hits`] to retain the sampled hit sketch (one cloned
-/// weight vector per hit, skipped entirely on the default hot path).
-pub fn approximate_impact_with(
-    dataset: &Dataset,
-    focal: &[f64],
-    k: usize,
-    samples: usize,
-    confidence: f64,
-    seed: u64,
-    options: &ApproxOptions,
-) -> ApproxImpact {
-    assert!(k >= 1, "k must be at least 1");
-    let half_width = hoeffding_half_width(confidence, samples);
-    let space = PreferenceSpace::transformed(focal.len());
-    let raw: Vec<Vec<f64>> = dataset.live_records().map(|r| r.values.clone()).collect();
-    let points = naive::sample_weights(&space, samples, seed);
-    let mut hit_count = 0usize;
-    let mut hits = Vec::new();
-    for w in points {
-        let full = space.to_full_weight(&w);
-        if naive::is_top_k(&raw, focal, &full, k) {
-            hit_count += 1;
-            if options.keep_hits {
-                hits.push(w);
-            }
-        }
-    }
-    let impact = hit_count as f64 / samples as f64;
-    ApproxImpact {
-        impact,
-        half_width,
-        samples,
-        hits,
-    }
-}
-
 /// Number of samples needed so the Hoeffding half-width is at most `epsilon`
 /// at the given confidence level.
 pub fn samples_for_accuracy(epsilon: f64, confidence: f64) -> usize {
@@ -296,162 +207,22 @@ pub fn samples_for_accuracy(epsilon: f64, confidence: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::run_lpcta;
-    use crate::config::KsprConfig;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_dataset(n: usize, d: usize, seed: u64) -> Dataset {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        Dataset::new(
-            (0..n)
-                .map(|_| (0..d).map(|_| rng.gen_range(0.0..1.0)).collect())
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn unbeatable_record_has_impact_one() {
-        let dataset = Dataset::new(vec![vec![0.1, 0.1], vec![0.2, 0.3]]);
-        let approx = approximate_impact_with(
-            &dataset,
-            &[0.9, 0.9],
-            1,
-            500,
-            0.95,
-            1,
-            &ApproxOptions::with_hits(),
-        );
-        assert_eq!(approx.impact, 1.0);
-        assert_eq!(approx.hits.len(), 500);
-        assert!(approx.upper() <= 1.0 && approx.lower() >= 0.0);
-        assert!(approx.covers(1.0));
-    }
-
-    #[test]
-    fn hopeless_record_has_impact_zero() {
-        let dataset = Dataset::new(vec![vec![0.9, 0.9], vec![0.8, 0.95]]);
-        let approx = approximate_impact(&dataset, &[0.1, 0.1], 1, 500, 0.95, 2);
-        assert_eq!(approx.impact, 0.0);
-        assert!(approx.hits.is_empty());
-    }
-
-    #[test]
-    fn hit_sketch_is_opt_in_and_does_not_change_the_estimate() {
-        let dataset = random_dataset(150, 3, 5);
-        let focal = vec![0.7, 0.7, 0.7];
-        let plain = approximate_impact(&dataset, &focal, 4, 600, 0.95, 3);
-        let sketched = approximate_impact_with(
-            &dataset,
-            &focal,
-            4,
-            600,
-            0.95,
-            3,
-            &ApproxOptions::with_hits(),
-        );
-        assert!(
-            plain.hits.is_empty(),
-            "the default path must not allocate the sketch"
-        );
-        assert_eq!(plain.impact, sketched.impact, "same seed, same estimate");
-        assert_eq!(plain.half_width, sketched.half_width);
-        assert_eq!(
-            sketched.hits.len(),
-            (sketched.impact * sketched.samples as f64).round() as usize
-        );
-    }
-
-    #[test]
-    fn estimate_brackets_the_exact_impact() {
-        let dataset = random_dataset(300, 3, 3);
-        let focal = vec![0.75, 0.7, 0.72];
-        let k = 8;
-        let exact = run_lpcta(&dataset, &focal, k, &KsprConfig::default()).impact(50_000, 5);
-        let approx = approximate_impact(&dataset, &focal, k, 4_000, 0.99, 7);
-        assert!(
-            exact >= approx.lower() - 0.02 && exact <= approx.upper() + 0.02,
-            "exact {exact} outside approx interval [{}, {}]",
-            approx.lower(),
-            approx.upper()
-        );
-    }
-
-    #[test]
-    fn every_hit_is_actually_a_top_k_preference() {
-        let dataset = random_dataset(200, 3, 9);
-        let focal = vec![0.8, 0.7, 0.75];
-        let k = 5;
-        // Validate against the *live* view — the same record set the
-        // estimator samples against.  (On a freshly built dataset the two
-        // coincide; on a tombstoned store they must not be confused, see
-        // `tombstoned_records_never_influence_the_estimate`.)
-        let raw: Vec<Vec<f64>> = dataset.live_records().map(|r| r.values.clone()).collect();
-        let space = PreferenceSpace::transformed(3);
-        let approx = approximate_impact_with(
-            &dataset,
-            &focal,
-            k,
-            1_000,
-            0.95,
-            11,
-            &ApproxOptions::with_hits(),
-        );
-        for w in &approx.hits {
-            assert!(naive::is_top_k(&raw, &focal, &space.to_full_weight(w), k));
-        }
-    }
-
-    #[test]
-    fn tombstoned_records_never_influence_the_estimate() {
-        use crate::dataset::DatasetStore;
-        // Record 0 dominates the focal record, so while it is live the focal
-        // record can never be top-1 (impact 0); once deleted, the focal
-        // record beats everything that is left (impact 1).
-        let mut store = DatasetStore::from_raw(vec![vec![0.9, 0.9], vec![0.2, 0.2]]);
-        let focal = vec![0.5, 0.5];
-        let sketch = ApproxOptions::with_hits();
-        let before = approximate_impact_with(store.dataset(), &focal, 1, 400, 0.95, 21, &sketch);
-        assert_eq!(before.impact, 0.0);
-        assert!(before.hits.is_empty());
-
-        assert_eq!(store.delete(0), Some(vec![0.9, 0.9]));
-        let after = approximate_impact_with(store.dataset(), &focal, 1, 400, 0.95, 21, &sketch);
-        assert_eq!(
-            after.impact, 1.0,
-            "a deleted dominator must not suppress the estimate"
-        );
-        assert_eq!(after.hits.len(), 400);
-
-        // The hit-validation invariant holds on the live view even with
-        // tombstones present: every hit is a genuine top-k preference of the
-        // surviving records.
-        let live: Vec<Vec<f64>> = store
-            .dataset()
-            .live_records()
-            .map(|r| r.values.clone())
-            .collect();
-        let space = PreferenceSpace::transformed(2);
-        for w in &after.hits {
-            assert!(naive::is_top_k(&live, &focal, &space.to_full_weight(w), 1));
-        }
-    }
 
     #[test]
     fn sample_size_calculator_matches_half_width() {
-        let eps = 0.01;
-        let conf = 0.95;
+        let (eps, conf) = (0.01, 0.95);
         let n = samples_for_accuracy(eps, conf);
-        let dataset = Dataset::new(vec![vec![0.5, 0.4], vec![0.4, 0.5]]);
-        let approx = approximate_impact(&dataset, &[0.45, 0.45], 1, n, conf, 13);
-        assert!(approx.half_width <= eps + 1e-9);
+        assert!(hoeffding_half_width(conf, n) <= eps + 1e-9);
+        assert!(
+            hoeffding_half_width(conf, n - 1) > eps,
+            "the calculator returns the smallest sufficient sample count"
+        );
     }
 
     #[test]
     #[should_panic(expected = "confidence")]
     fn rejects_invalid_confidence() {
-        let dataset = Dataset::new(vec![vec![0.5, 0.5]]);
-        approximate_impact(&dataset, &[0.4, 0.4], 1, 10, 1.5, 1);
+        hoeffding_half_width(1.5, 10);
     }
 
     #[test]

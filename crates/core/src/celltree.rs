@@ -266,8 +266,8 @@ struct ClassifyOut {
     feasibility_tests: usize,
     lp_constraints: usize,
     witness_hits: usize,
-    /// Wall time spent inside the LP solver (timing metadata — excluded
-    /// from consistency comparisons via [`crate::PhaseNanos`]).
+    /// Wall time spent inside the LP solver (timing metadata, see
+    /// [`crate::Timing`]).
     lp_ns: u64,
     /// Simplex pivots across the feasibility tests (deterministic work —
     /// participates in consistency comparisons).
@@ -989,7 +989,7 @@ impl CellTree {
                 .unwrap_or_else(|e| e.into_inner())
         };
         self.finish_insert(plane, out, stats);
-        stats.parallel_inserts += 1;
+        stats.phases.parallel_inserts += 1;
     }
 
     /// Merges classification statistics and replays the recorded decisions
@@ -1406,9 +1406,7 @@ mod tests {
                         "threads={threads} k={k} after record {i}"
                     );
                 }
-                assert_eq!(stats_par.parallel_inserts, records.len());
-                // Every counter except the scheduling-metadata one matches.
-                stats_par.parallel_inserts = stats_seq.parallel_inserts;
+                assert_eq!(stats_par.phases.parallel_inserts, records.len());
                 assert_eq!(stats_seq, stats_par, "threads={threads} k={k}");
             }
         }

@@ -729,7 +729,7 @@ impl QueryEngine {
     ) -> KsprResult {
         let clock = std::time::Instant::now();
         let mut result = self.run_policy(policy, focal, k, None, 1);
-        result.stats.wall_time_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        result.stats.phases.wall_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
         result
     }
 
@@ -772,7 +772,7 @@ impl QueryEngine {
             .map(|focal| {
                 let clock = std::time::Instant::now();
                 let mut result = self.run_policy(policy, focal, k, shared.as_deref(), concurrent);
-                result.stats.wall_time_ns =
+                result.stats.phases.wall_ns =
                     u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 result
             })
@@ -797,7 +797,7 @@ impl QueryEngine {
                 _ => unreachable!("policy_for covers all CellTree algorithms"),
             },
         };
-        result.stats.wall_time_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        result.stats.phases.wall_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
         result
     }
 
@@ -1439,18 +1439,15 @@ mod tests {
             for k in [8, 12] {
                 let s = seq.run(alg, &focal, k);
                 let p = par.run(alg, &focal, k);
-                assert_eq!(s.stats.parallel_inserts, 0, "{alg:?} k={k}");
+                assert_eq!(s.stats.phases.parallel_inserts, 0, "{alg:?} k={k}");
                 assert!(
-                    p.stats.parallel_inserts > 0,
+                    p.stats.phases.parallel_inserts > 0,
                     "{alg:?} k={k}: the parallel path never engaged"
                 );
                 assert_eq!(s.num_regions(), p.num_regions(), "{alg:?} k={k}");
-                // Everything except the scheduling- and timing-metadata
-                // counters is bit-identical, including the LP work performed.
-                let mut p_stats = p.stats.clone();
-                p_stats.parallel_inserts = s.stats.parallel_inserts;
-                p_stats.wall_time_ns = s.stats.wall_time_ns;
-                assert_eq!(s.stats, p_stats, "{alg:?} k={k}");
+                // Every work counter is bit-identical, including the LP
+                // work performed.
+                assert_eq!(s.stats, p.stats, "{alg:?} k={k}");
                 for w in naive::sample_weights(&s.space, 60, 11) {
                     assert_eq!(s.contains(&w), p.contains(&w), "{alg:?} k={k} at {w:?}");
                 }
@@ -1459,7 +1456,10 @@ mod tests {
         // LP-CTA's bound reporting is schedule-sensitive: it must ignore the
         // worker grant and run sequentially.
         let lp = par.run(Algorithm::LpCta, &focal, 3);
-        assert_eq!(lp.stats.parallel_inserts, 0, "LP-CTA routes sequentially");
+        assert_eq!(
+            lp.stats.phases.parallel_inserts, 0,
+            "LP-CTA routes sequentially"
+        );
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub mod rtopk;
 pub mod stats;
 
 pub use algorithms::{run, run_batch, Algorithm};
-pub use approximate::{ApproxImpact, ApproxOptions, ErrorBudget, QueryTier};
+pub use approximate::{ApproxImpact, ErrorBudget, QueryTier};
 pub use config::{BoundMode, KsprConfig};
 pub use dataset::{check_record, Dataset, DatasetStore, IngestError};
 pub use engine::{
@@ -83,7 +83,7 @@ pub use engine::{
     SkybandPolicy,
 };
 pub use result::{KsprResult, Region};
-pub use stats::{PhaseNanos, QueryStats};
+pub use stats::{QueryStats, Timing};
 
 // Re-export the pieces of the substrate crates that appear in this crate's
 // public API, so downstream users only need a `kspr` dependency.

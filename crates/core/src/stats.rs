@@ -6,22 +6,28 @@
 //! counts and constraint counts (Figure 17), and simulated I/O (Figure 19).
 //! [`QueryStats`] collects all of them for a single kSPR query.
 
-/// Wall-clock nanoseconds spent in each engine phase while answering one
-/// query: Section-3.1 shared preparation (with the columnar dominance
-/// kernel broken out), CellTree expansion, and the LP solves inside it.
+/// Timing and scheduling metadata of one query: the engine's wall-clock
+/// time, the wall-clock nanoseconds spent in each engine phase (Section-3.1
+/// shared preparation with the columnar dominance kernel broken out,
+/// CellTree expansion, and the LP solves inside it), and how many hyperplane
+/// insertions ran on the work-stealing pool.
 ///
 /// The phases **overlap** rather than partition: `dominance_ns` is part of
 /// `prep_ns`, and `lp_ns` accrues mostly inside `expansion_ns` — they are
 /// span windows, not a disjoint sum.
 ///
-/// Like [`QueryStats::wall_time_ns`] these are timing metadata, not work:
-/// two runs of the same query never measure the same nanoseconds.  Unlike
-/// `wall_time_ns` (a plain field that consistency tests zero by hand), the
-/// phase block is excluded from comparison *by construction*: its
-/// `PartialEq` always answers `true`, so every bit-identical-stats assertion
-/// in the repo ignores it without changes.
+/// None of this is work: two runs of the same query never measure the same
+/// nanoseconds, and parallel and sequential insertion build bit-identical
+/// trees.  So `Timing`'s `PartialEq` always answers `true`, and every
+/// [`QueryStats`] comparison ignores the block while comparing every other
+/// field.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseNanos {
+pub struct Timing {
+    /// Wall-clock time of the engine run, stamped by [`QueryEngine::run`]
+    /// and its batch variants.
+    ///
+    /// [`QueryEngine::run`]: crate::QueryEngine::run
+    pub wall_ns: u64,
     /// Section-3.1 shared preparation: dominance classification, skyband
     /// restriction, prep-cache work.
     pub prep_ns: u64,
@@ -32,19 +38,24 @@ pub struct PhaseNanos {
     pub lp_ns: u64,
     /// The columnar dominance kernel inside preparation.
     pub dominance_ns: u64,
+    /// Hyperplane insertions whose frontier classification ran on the
+    /// work-stealing pool (0 when the query ran fully sequentially).
+    pub parallel_inserts: usize,
 }
 
-impl PhaseNanos {
-    /// Accumulates another phase block (phase-wise sum).
-    pub fn merge(&mut self, other: &PhaseNanos) {
+impl Timing {
+    /// Accumulates another timing block (field-wise sum).
+    pub fn merge(&mut self, other: &Timing) {
+        self.wall_ns += other.wall_ns;
         self.prep_ns += other.prep_ns;
         self.expansion_ns += other.expansion_ns;
         self.lp_ns += other.lp_ns;
         self.dominance_ns += other.dominance_ns;
+        self.parallel_inserts += other.parallel_inserts;
     }
 
-    /// `(name, nanos)` pairs in a stable order, for histogram recording and
-    /// reports.
+    /// `(name, nanos)` pairs of the four engine phases in a stable order,
+    /// for histogram recording and reports.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
         [
             ("prep", self.prep_ns),
@@ -56,10 +67,8 @@ impl PhaseNanos {
     }
 }
 
-/// Timing metadata never participates in equality: two identical engine
-/// runs measure different nanoseconds, and every consistency suite in the
-/// repo compares whole [`QueryStats`] blocks for bit-identity.
-impl PartialEq for PhaseNanos {
+/// Timing metadata never participates in equality (see [`Timing`]).
+impl PartialEq for Timing {
     fn eq(&self, _: &Self) -> bool {
         true
     }
@@ -100,35 +109,18 @@ pub struct QueryStats {
     pub io_time_ms: f64,
     /// Number of regions in the final result.
     pub result_regions: usize,
-    /// Hyperplane insertions whose frontier classification ran on the
-    /// work-stealing pool (0 when the query ran fully sequentially).
-    ///
-    /// Scheduling metadata, not work: parallel and sequential insertion
-    /// produce bit-identical trees and identical values for every *other*
-    /// counter, so consistency tests must (and do) exclude this field.
-    pub parallel_inserts: usize,
     /// Times a reused halfspace scratch buffer (path / full halfspace
     /// collection) had to grow its allocation.  Steady-state traversal keeps
     /// this at the warm-up value — the counter exists so tests can assert the
     /// hot path performs zero allocations.
     pub halfspace_scratch_grows: usize,
-    /// Wall-clock time of the engine run in nanoseconds, stamped by
-    /// [`QueryEngine::run`] and its batch variants.
-    ///
-    /// Timing metadata, not work: like `parallel_inserts` it is
-    /// nondeterministic, so consistency tests must (and do) exclude it when
-    /// comparing statistics blocks.
-    ///
-    /// [`QueryEngine::run`]: crate::QueryEngine::run
-    pub wall_time_ns: u64,
     /// Simplex pivots performed across every LP feasibility test of the
     /// query.  Bland's rule makes the count a pure function of each LP
-    /// instance, so — unlike the nanosecond fields — it is deterministic,
-    /// schedule-independent, and participates in consistency comparisons.
+    /// instance, so it is deterministic and schedule-independent.
     pub lp_pivots: usize,
-    /// Per-phase wall-clock breakdown (prep / expansion / LP / dominance).
-    /// Timing metadata: always compares equal (see [`PhaseNanos`]).
-    pub phases: PhaseNanos,
+    /// Wall-clock time, per-phase breakdown and parallel-insert count.
+    /// Always compares equal (see [`Timing`]).
+    pub phases: Timing,
 }
 
 impl QueryStats {
@@ -164,9 +156,7 @@ impl QueryStats {
         self.io_reads += other.io_reads;
         self.io_time_ms += other.io_time_ms;
         self.result_regions += other.result_regions;
-        self.parallel_inserts += other.parallel_inserts;
         self.halfspace_scratch_grows += other.halfspace_scratch_grows;
-        self.wall_time_ns += other.wall_time_ns;
         self.lp_pivots += other.lp_pivots;
         self.phases.merge(&other.phases);
     }
@@ -185,12 +175,24 @@ mod tests {
         assert!((s.avg_constraints_per_test() - 2.5).abs() < 1e-12);
     }
 
+    fn timing(seed: u64) -> Timing {
+        Timing {
+            wall_ns: seed,
+            prep_ns: seed + 1,
+            expansion_ns: seed + 2,
+            lp_ns: seed + 3,
+            dominance_ns: seed + 4,
+            parallel_inserts: seed as usize + 5,
+        }
+    }
+
     #[test]
     fn merge_accumulates() {
         let mut a = QueryStats {
             processed_records: 3,
             io_reads: 5,
             lp_pivots: 4,
+            phases: timing(10),
             ..Default::default()
         };
         let b = QueryStats {
@@ -198,12 +200,7 @@ mod tests {
             io_reads: 7,
             result_regions: 1,
             lp_pivots: 6,
-            phases: PhaseNanos {
-                prep_ns: 100,
-                expansion_ns: 200,
-                lp_ns: 50,
-                dominance_ns: 25,
-            },
+            phases: timing(1000),
             ..Default::default()
         };
         a.merge(&b);
@@ -211,38 +208,64 @@ mod tests {
         assert_eq!(a.io_reads, 12);
         assert_eq!(a.result_regions, 1);
         assert_eq!(a.lp_pivots, 10);
-        assert_eq!(a.phases.prep_ns, 100);
-        assert_eq!(a.phases.lp_ns, 50);
+        // Every timing field sums, not only the four phases.
+        let t = a.phases;
+        assert_eq!(t.wall_ns, 1010);
+        assert_eq!(t.prep_ns, 1012);
+        assert_eq!(t.expansion_ns, 1014);
+        assert_eq!(t.lp_ns, 1016);
+        assert_eq!(t.dominance_ns, 1018);
+        assert_eq!(t.parallel_inserts, 1020);
     }
 
     #[test]
     fn phase_timings_never_break_equality() {
-        // The whole point of PhaseNanos: bit-identical consistency suites
-        // compare QueryStats blocks, and wall-clock phases must not trip
-        // them.
-        let a = QueryStats {
+        let base = QueryStats {
             processed_records: 1,
-            phases: PhaseNanos {
-                prep_ns: 123,
-                expansion_ns: 456,
-                lp_ns: 78,
-                dominance_ns: 9,
+            ..Default::default()
+        };
+        let retimed = [
+            Timing {
+                wall_ns: 7,
+                ..Default::default()
             },
-            ..Default::default()
-        };
-        let b = QueryStats {
-            processed_records: 1,
-            ..Default::default()
-        };
-        assert_eq!(a, b, "phase timings are excluded from comparison");
-        let names: Vec<&str> = a.phases.iter().map(|(n, _)| n).collect();
+            Timing {
+                parallel_inserts: 3,
+                ..Default::default()
+            },
+            Timing {
+                lp_ns: 11,
+                ..Default::default()
+            },
+            timing(100),
+        ];
+        for phases in retimed {
+            let other = QueryStats {
+                phases,
+                ..base.clone()
+            };
+            assert_eq!(other, base, "timing is excluded from comparison");
+        }
+
+        let changed = [
+            QueryStats {
+                lp_pivots: 3,
+                ..base.clone()
+            },
+            QueryStats {
+                halfspace_scratch_grows: 1,
+                ..base.clone()
+            },
+            QueryStats {
+                io_time_ms: 0.5,
+                ..base.clone()
+            },
+        ];
+        for other in changed {
+            assert_ne!(other, base, "work counters are compared");
+        }
+
+        let names: Vec<&str> = base.phases.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["prep", "expansion", "lp", "dominance"]);
-        // lp_pivots, by contrast, is deterministic work and must compare.
-        let c = QueryStats {
-            processed_records: 1,
-            lp_pivots: 3,
-            ..Default::default()
-        };
-        assert_ne!(a, c);
     }
 }

@@ -1,7 +1,7 @@
 //! The admission layer: the gate between *enqueue* and *dispatch*.
 //!
 //! Every query is stamped at enqueue time with the pending-queue depth and
-//! its client's in-flight count ([`Stamp`]); when the dispatcher dequeues
+//! its client's in-flight count (`Stamp`); when the dispatcher dequeues
 //! the query it judges those stamped values against [`AdmissionOptions`]:
 //!
 //! * past [`AdmissionOptions::hard_limit`] pending queries the request is

@@ -143,7 +143,7 @@ const QUERY_STAGES: [Stage; 5] = [
 /// Lays the engine's per-phase breakdown under a traced query's `engine`
 /// span as child spans: `prep` (with the `dominance` kernel nested inside)
 /// followed by `expansion` (with the `lp` solves nested inside).  The
-/// windows come from [`kspr::PhaseNanos`], anchored at the engine span's
+/// windows come from [`kspr::Timing`], anchored at the engine span's
 /// start — prep runs first, expansion directly after; `child_span` clamps
 /// each window into its parent, so a phase can never overhang the engine
 /// span it decomposes.

@@ -49,14 +49,15 @@
 //! # Standing queries
 //!
 //! [`ServeHandle::subscribe`] registers a long-lived query with the
-//! dispatcher's [`kspr_monitor::Monitor`] and returns a [`Subscription`].
+//! dispatcher's [`kspr_monitor::Monitor`] and returns a
+//! [`Subscription`](crate::Subscription).
 //! After every update batch the dispatcher classifies each standing query as
 //! unaffected / patchable / must-rerun (see the `kspr-monitor` crate docs),
 //! maintains it accordingly, and pushes a [`kspr_monitor::ResultDelta`] to
 //! the subscription whenever its result actually changed.  Because the
 //! monitor runs on the dispatcher thread, updates and notifications stay
 //! serialized with the query stream: a notification always reflects exactly
-//! the updates acknowledged before it.  Dropping a [`Subscription`]
+//! the updates acknowledged before it.  Dropping a subscription
 //! unregisters the standing query (no maintenance state leaks from a
 //! long-lived server).  If a maintenance pass itself panics (after the
 //! update was committed and acknowledged), the registry is invalidated
@@ -73,9 +74,9 @@
 //! of updates shares its classification probes and coalesces per-query
 //! engine re-runs.  A subscriber that stops draining its notifications does
 //! not grow dispatcher memory without bound: each subscription holds at most
-//! [`MAX_PENDING_DELTAS`] pending deltas, after which newer deltas are
-//! merged into the newest pending one (deltas chain, so the merged delta
-//! still spans exactly the missed updates).  After every update batch the
+//! [`MAX_PENDING_DELTAS`](crate::MAX_PENDING_DELTAS) pending deltas, after
+//! which newer deltas are merged into the newest pending one (deltas chain,
+//! so the merged delta still spans exactly the missed updates).  After every update batch the
 //! dispatcher also checks the pool's tombstone ratio and, past 50% dead
 //! slots, compacts the shards in place ([`ShardedEngine::compact`]) —
 //! global record ids survive, so clients and standing-query bookkeeping
@@ -350,7 +351,7 @@ impl ServeHandle {
     }
 
     /// Registers a standing query with the server's default algorithm;
-    /// resolves to a [`Subscription`] that yields a
+    /// resolves to a [`Subscription`](crate::Subscription) that yields a
     /// [`kspr_monitor::ResultDelta`] after every update that changed the
     /// query's result.
     pub fn subscribe(&self, focal: Vec<f64>, k: usize) -> SubscribeTicket {
@@ -383,7 +384,8 @@ impl ServeHandle {
     }
 
     /// Unregisters a standing query by id; resolves to whether it was still
-    /// registered.  (Dropping the [`Subscription`] unregisters implicitly.)
+    /// registered.  (Dropping the [`Subscription`](crate::Subscription)
+    /// unregisters implicitly.)
     pub fn unsubscribe(&self, id: QueryId) -> Ticket<bool> {
         let (tx, ticket) = Ticket::new();
         self.enqueue(Msg::Unsubscribe { id, tx: Some(tx) });
@@ -391,7 +393,7 @@ impl ServeHandle {
     }
 
     /// Number of currently registered standing queries (registry telemetry;
-    /// also the leak check for [`Subscription`] drops).
+    /// also the leak check for [`Subscription`](crate::Subscription) drops).
     pub fn subscriptions(&self) -> Ticket<usize> {
         let (tx, ticket) = Ticket::new();
         self.enqueue(Msg::Subscriptions { tx });

@@ -44,8 +44,8 @@
 //! configuration bit-for-bit identical to the plain engine.
 
 use kspr::{
-    Algorithm, ApproxImpact, ApproxOptions, Dataset, DatasetStore, ErrorBudget, KsprConfig,
-    KsprResult, PreferenceSpace, QueryEngine, QueryStats, QueryTier, RecordId,
+    Algorithm, ApproxImpact, Dataset, DatasetStore, ErrorBudget, KsprConfig, KsprResult,
+    PreferenceSpace, QueryEngine, QueryStats, QueryTier, RecordId,
 };
 use kspr_approx::{arrangement_cost, pool_estimates, ApproxEngine, PartialEstimate, TieredResult};
 use kspr_durable::SlotState;
@@ -589,21 +589,10 @@ impl ShardedEngine {
     // -----------------------------------------------------------------------
 
     /// Estimates the market impact of every focal record to `budget` by
-    /// fanning the sampling work across the shard pool (see
-    /// [`ShardedEngine::run_approx_batch_with`]).
-    pub fn run_approx_batch(
-        &self,
-        focals: &[Vec<f64>],
-        k: usize,
-        budget: &ErrorBudget,
-        seed: u64,
-    ) -> Vec<ApproxImpact> {
-        self.run_approx_batch_with(focals, k, budget, seed, &ApproxOptions::default())
-    }
-
-    /// The approximate tier of the sharded engine: the total sample budget
-    /// is **allocated across shards proportionally to their live-record
-    /// counts** (each shard's worker draws its own independent sub-stream;
+    /// fanning the sampling work across the shard pool — the approximate
+    /// tier of the sharded engine.  The total sample budget is **allocated
+    /// across shards proportionally to their live-record counts** (each
+    /// shard's worker draws its own independent sub-stream;
     /// the split shards the sampling *work* and keeps each shard's partial
     /// estimate meaningful telemetry — it cannot change the pooled
     /// distribution, since every sub-stream is i.i.d. uniform), every probe
@@ -620,18 +609,16 @@ impl ShardedEngine {
     /// dataset handle; updates copy-on-write), so an insert or delete
     /// landing mid-flight can never skew an estimate half-way through its
     /// stream.  With no live competitor every preference is trivially a hit:
-    /// the estimate is exactly `1.0` (the hit sketch is not materialized in
-    /// that case).
+    /// the estimate is exactly `1.0`.
     ///
     /// # Panics
     /// Panics if `k == 0` or any focal arity does not match the dataset.
-    pub fn run_approx_batch_with(
+    pub fn run_approx_batch(
         &self,
         focals: &[Vec<f64>],
         k: usize,
         budget: &ErrorBudget,
         seed: u64,
-        options: &ApproxOptions,
     ) -> Vec<ApproxImpact> {
         assert!(k >= 1, "k must be at least 1");
         assert!(
@@ -663,7 +650,6 @@ impl ShardedEngine {
                         impact: 1.0,
                         half_width,
                         samples: total_samples,
-                        hits: Vec::new(),
                     })
                     .collect();
             }
@@ -673,7 +659,7 @@ impl ShardedEngine {
         let partials: Vec<PartialEstimate> = allocation
             .par_iter()
             .map(|&(shard, samples)| {
-                sampler.sample_batch(focals, samples, Self::shard_seed(seed, shard), options)
+                sampler.sample_batch(focals, samples, Self::shard_seed(seed, shard))
             })
             .collect();
         pool_estimates(partials, budget.confidence)

@@ -125,7 +125,7 @@ const ALGORITHM_NAMES: [&str; 6] = ["cta", "pcta", "lp_cta", "k_skyband", "rtopk
 /// Configurable per server via `ServeOptions::flight_recorder_capacity`.
 pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
 
-/// Phase-histogram name components, in [`kspr::PhaseNanos::iter`] order.
+/// Phase-histogram name components, in [`kspr::Timing::iter`] order.
 const PHASE_NAMES: [&str; 4] = ["prep", "expansion", "lp", "dominance"];
 
 /// Trace ids the server assigns to requests that arrive without one.  They
@@ -310,7 +310,7 @@ impl ServeMetrics {
     /// Records one exact answer's engine wall time, per-phase breakdown and
     /// LP pivot count.
     pub(crate) fn record_engine(&self, stats: &QueryStats) {
-        self.engine_wall.record(stats.wall_time_ns);
+        self.engine_wall.record(stats.phases.wall_ns);
         for (histogram, (_, nanos)) in self.phases.iter().zip(stats.phases.iter()) {
             histogram.record(nanos);
         }

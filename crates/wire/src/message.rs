@@ -1057,6 +1057,57 @@ mod tests {
         assert_eq!(round, QueryTier::auto(ErrorBudget::default()));
     }
 
+    /// Both decoders must return (not panic) on `bytes`, and any message
+    /// they accept must re-encode to exactly `bytes`: the encoding is
+    /// canonical, so a decoder that accepts two spellings of one message is
+    /// reading something the encoder never wrote.
+    fn assert_decoders_total_and_canonical(bytes: &[u8]) {
+        if let Some((request, id)) = WireRequest::decode_traced(bytes) {
+            assert_eq!(request.encode_traced(id), bytes, "{request:?}");
+        }
+        if let Some((response, id)) = WireResponse::decode_traced(bytes) {
+            assert_eq!(response.encode_traced(id), bytes, "{response:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoders(
+            bytes in proptest::collection::vec(0u8..=255, 0..=256),
+            opcode in 0u8..12,
+        ) {
+            assert_decoders_total_and_canonical(&bytes);
+            // Behind a well-formed untraced header, so the field decoders
+            // of every opcode see the arbitrary bytes.
+            let mut framed = header(opcode);
+            framed.extend_from_slice(&bytes);
+            assert_decoders_total_and_canonical(&framed);
+        }
+
+        #[test]
+        fn corrupted_valid_payloads_never_panic_the_decoders(
+            (traced, trace_id) in (0u8..2, 0u64..u64::MAX),
+            (mutation, at, byte) in (0u8..3, 0usize..4096, 0u8..=255),
+        ) {
+            let trace_id = (traced == 1).then_some(trace_id);
+            let requests = every_request().into_iter().map(|r| r.encode_traced(trace_id));
+            let responses = every_response().into_iter().map(|r| r.encode_traced(trace_id));
+            for mut bytes in requests.chain(responses) {
+                match mutation {
+                    0 => {
+                        let at = at % bytes.len();
+                        bytes[at] = byte;
+                    }
+                    1 => bytes.truncate(at % bytes.len()),
+                    _ => bytes.insert(at % (bytes.len() + 1), byte),
+                }
+                assert_decoders_total_and_canonical(&bytes);
+            }
+        }
+    }
+
     #[test]
     fn client_round_trips_over_an_in_memory_stream() {
         use crate::{read_frame, write_frame};
