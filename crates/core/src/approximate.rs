@@ -207,6 +207,81 @@ pub fn samples_for_accuracy(epsilon: f64, confidence: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::run_lpcta;
+    use crate::config::KsprConfig;
+    use crate::dataset::Dataset;
+    use crate::naive;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn random_raw(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| (0..d).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn estimate_brackets_the_exact_impact() {
+        // An estimate from direct top-k probes, reported with its Hoeffding
+        // interval, covers the impact of the exact LP-CTA regions.
+        let raw = random_raw(300, 3, 3);
+        let focal = vec![0.97, 0.85, 0.8];
+        let k = 8;
+        let exact = run_lpcta(
+            &Dataset::new(raw.clone()),
+            &focal,
+            k,
+            &KsprConfig::default(),
+        );
+        let true_impact = exact.impact(50_000, 5);
+        assert!(
+            true_impact > 0.05 && true_impact < 0.95,
+            "a focal record that always or never wins brackets trivially: {true_impact}"
+        );
+        let samples = 4_000;
+        let estimate = ApproxImpact {
+            impact: naive::impact_monte_carlo(&raw, &focal, k, &exact.space, samples, 7),
+            half_width: hoeffding_half_width(0.99, samples),
+            samples,
+        };
+        assert!(
+            true_impact >= estimate.lower() - 0.02 && true_impact <= estimate.upper() + 0.02,
+            "exact {true_impact} outside approx interval [{}, {}]",
+            estimate.lower(),
+            estimate.upper()
+        );
+    }
+
+    #[test]
+    fn every_hit_is_actually_a_top_k_preference() {
+        // A sampled preference the exact result counts as a hit is a top-k
+        // preference by the query definition, so the hit fraction of the
+        // exact regions is the brute-force estimate on the same draws.
+        let raw = random_raw(200, 3, 9);
+        let focal = vec![0.97, 0.85, 0.8];
+        let k = 5;
+        let exact = run_lpcta(
+            &Dataset::new(raw.clone()),
+            &focal,
+            k,
+            &KsprConfig::default(),
+        );
+        let space = exact.space;
+        let points = naive::sample_weights(&space, 1_000, 11);
+        let hits: Vec<&Vec<f64>> = points.iter().filter(|w| exact.contains(w)).collect();
+        assert!(
+            !hits.is_empty() && hits.len() < points.len(),
+            "the draws must see both hits and misses, got {} of {}",
+            hits.len(),
+            points.len()
+        );
+        for w in &hits {
+            assert!(naive::is_top_k(&raw, &focal, &space.to_full_weight(w), k));
+        }
+        let oracle = naive::impact_monte_carlo(&raw, &focal, k, &space, points.len(), 11);
+        assert_eq!(hits.len() as f64 / points.len() as f64, oracle);
+    }
 
     #[test]
     fn sample_size_calculator_matches_half_width() {
