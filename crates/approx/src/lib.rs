@@ -17,7 +17,7 @@
 //! exactly the settings that blow the arrangement up — leave the sampling
 //! cost untouched.
 //!
-//! ## The three pillars
+//! ## The two pillars
 //!
 //! * [`ApproxEngine`] — a sampler over an **epoch-consistent dataset
 //!   snapshot**.  Construction captures the dataset handle (copy-on-write
@@ -37,17 +37,17 @@
 //!   (`O(samples · batch · d)`), instead of `O(batch · samples ·
 //!   candidates)` for independent estimates.  Batched results are
 //!   bit-identical to single-query estimates under the same seed.
-//! * **Tiered dispatch** — [`run_tiered`] / [`run_tiered_batch`] route a
-//!   query per [`QueryTier`]: `Exact` is a pure passthrough to
-//!   [`kspr::QueryEngine`], `Approximate` always samples, and `Auto`
-//!   estimates the arrangement cost from dataset statistics
-//!   ([`estimated_cost`]: `band^work_dim`) and keeps cheap small-`k` /
-//!   low-`d` queries exact while sending arrangement-bound ones to the
-//!   sampler.
+//!
+//! Tier routing lives in the `kspr-serve` dispatcher, which applies
+//! [`kspr::QueryTier::resolve`] per request: `Exact` runs the exact engine,
+//! `Approximate` always samples, and `Auto` compares [`estimated_cost`]
+//! (`band^work_dim`) against its threshold, keeping cheap small-`k` /
+//! low-`d` queries exact while sending arrangement-bound ones to the
+//! sampler.  The answer of such a dispatch is a [`TieredResult`].
 //!
 //! ```
 //! use kspr::{Algorithm, Dataset, ErrorBudget, KsprConfig, QueryEngine, QueryTier};
-//! use kspr_approx::{run_tiered, ApproxEngine, TieredResult};
+//! use kspr_approx::{estimated_cost, ApproxEngine, TieredResult};
 //!
 //! let dataset = Dataset::new(vec![
 //!     vec![0.3, 0.8, 0.8],
@@ -55,31 +55,26 @@
 //!     vec![0.8, 0.3, 0.4],
 //!     vec![0.4, 0.3, 0.6],
 //! ]);
+//! let engine = QueryEngine::new(&dataset, KsprConfig::default());
 //! let budget = ErrorBudget::new(0.05, 0.95);
-//! let config = KsprConfig::default().with_tier(QueryTier::approximate(budget));
-//! let engine = QueryEngine::new(&dataset, config);
+//! let (focal, k) = ([0.5, 0.5, 0.7], 3);
 //!
-//! // The configured tier answers with a budgeted estimate ...
-//! match run_tiered(&engine, Algorithm::LpCta, &[0.5, 0.5, 0.7], 3, 42) {
-//!     TieredResult::Approximate(est) => {
-//!         assert!(est.half_width <= budget.epsilon);
-//!         assert!(est.impact >= 0.0 && est.impact <= 1.0);
-//!     }
-//!     TieredResult::Exact(_) => unreachable!("the tier is Approximate"),
-//! }
-//!
-//! // ... and the sampler is also usable directly, over a stable snapshot.
-//! let sampler = ApproxEngine::from_engine(&engine, 3);
-//! let estimate = sampler.estimate(&[0.5, 0.5, 0.7], &budget, 42);
+//! // A threshold of zero routes every non-trivial `Auto` query to sampling.
+//! let tier = QueryTier::Auto { budget, cost_threshold: 0.0 };
+//! let answer = match tier.resolve(|| estimated_cost(&engine, k)) {
+//!     None => TieredResult::Exact(engine.run(Algorithm::LpCta, &focal, k)),
+//!     // The sampler runs over a stable snapshot of the engine's dataset.
+//!     Some(budget) => TieredResult::Approximate(
+//!         ApproxEngine::from_engine(&engine, k).estimate(&focal, &budget, 42),
+//!     ),
+//! };
+//! let estimate = answer.as_approximate().expect("the cost exceeds zero");
+//! assert!(estimate.half_width <= budget.epsilon);
 //! assert!(estimate.covers(estimate.impact));
 //! ```
 
-use kspr::{Algorithm, ApproxImpact, ColumnarBlock, Dataset, ErrorBudget};
+use kspr::{ApproxImpact, ColumnarBlock, Dataset, ErrorBudget};
 use kspr::{KsprResult, QueryEngine, RecordId};
-
-// Re-exported so tier-dispatch consumers only need a `kspr-approx`
-// dependency.
-pub use kspr::QueryTier;
 use kspr_geometry::{dot, PreferenceSpace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -401,65 +396,10 @@ impl ApproxEngine {
     }
 }
 
-/// Answers one query through the engine's configured [`QueryTier`]
-/// (`engine.config().tier`): `Exact` passes through to
-/// [`QueryEngine::run`] untouched, `Approximate` samples to the budget over
-/// an epoch-consistent snapshot, and `Auto` routes by [`estimated_cost`]
-/// against the tier's threshold.  `seed` drives the sampler only (exact
-/// queries are deterministic).
-///
-/// # Panics
-/// Panics if `k == 0` or the focal arity does not match the dataset.
-pub fn run_tiered(
-    engine: &QueryEngine,
-    algorithm: Algorithm,
-    focal: &[f64],
-    k: usize,
-    seed: u64,
-) -> TieredResult {
-    run_tiered_batch(
-        engine,
-        algorithm,
-        std::slice::from_ref(&focal.to_vec()),
-        k,
-        seed,
-    )
-    .pop()
-    .expect("one focal in, one result out")
-}
-
-/// The batch analogue of [`run_tiered`].  The routing decision is
-/// focal-independent (dataset statistics and `k` only), so a batch always
-/// runs entirely in one tier: exact batches through
-/// [`QueryEngine::run_batch`] (shared preprocessing, parallel workers),
-/// approximate batches through one shared sampling sweep.
-pub fn run_tiered_batch(
-    engine: &QueryEngine,
-    algorithm: Algorithm,
-    focals: &[Vec<f64>],
-    k: usize,
-    seed: u64,
-) -> Vec<TieredResult> {
-    assert!(k >= 1, "k must be at least 1");
-    let budget = engine.config().tier.resolve(|| estimated_cost(engine, k));
-    match budget {
-        None => engine
-            .run_batch(algorithm, focals, k)
-            .into_iter()
-            .map(TieredResult::Exact)
-            .collect(),
-        Some(budget) => ApproxEngine::from_engine(engine, k)
-            .estimate_batch(focals, &budget, seed)
-            .into_iter()
-            .map(TieredResult::Approximate)
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kspr::KsprConfig;
+    use kspr::{Algorithm, KsprConfig};
     use rand::Rng;
 
     fn random_raw(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -711,60 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn tier_dispatch_routes_per_config() {
-        let raw = random_raw(150, 3, 31);
-        let dataset = Dataset::new(raw);
-        let focal = vec![0.75, 0.7, 0.7];
-        let k = 4;
-        let budget = ErrorBudget::new(0.05, 0.95);
-
-        // Exact tier: a pure passthrough (identical work counters).
-        let exact_engine = QueryEngine::new(&dataset, KsprConfig::default());
-        let direct = exact_engine.run(Algorithm::LpCta, &focal, k);
-        match run_tiered(&exact_engine, Algorithm::LpCta, &focal, k, 1) {
-            TieredResult::Exact(result) => {
-                assert_eq!(result.num_regions(), direct.num_regions());
-                assert_eq!(
-                    result.stats.processed_records,
-                    direct.stats.processed_records
-                );
-                assert_eq!(result.stats.celltree_nodes, direct.stats.celltree_nodes);
-            }
-            TieredResult::Approximate(_) => panic!("Exact tier must never sample"),
-        }
-
-        // Approximate tier: a budget-conforming estimate.
-        let approx_engine = QueryEngine::new(
-            &dataset,
-            KsprConfig::default().with_tier(QueryTier::approximate(budget)),
-        );
-        match run_tiered(&approx_engine, Algorithm::LpCta, &focal, k, 1) {
-            TieredResult::Approximate(estimate) => {
-                assert!(estimate.half_width <= budget.epsilon + 1e-12);
-                assert_eq!(estimate.samples, budget.samples());
-            }
-            TieredResult::Exact(_) => panic!("Approximate tier must never run exactly"),
-        }
-
-        // Auto: an extreme threshold forces each side.
-        for (threshold, expect_exact) in [(f64::INFINITY, true), (0.0, false)] {
-            let auto_engine = QueryEngine::new(
-                &dataset,
-                KsprConfig::default().with_tier(QueryTier::Auto {
-                    budget,
-                    cost_threshold: threshold,
-                }),
-            );
-            let routed = run_tiered(&auto_engine, Algorithm::LpCta, &focal, k, 1);
-            assert_eq!(
-                routed.is_exact(),
-                expect_exact,
-                "threshold {threshold} routed the wrong way"
-            );
-        }
-    }
-
-    #[test]
     fn auto_cost_grows_with_k_and_dimension() {
         let low = QueryEngine::new(&Dataset::new(random_raw(300, 3, 33)), KsprConfig::default());
         let high = QueryEngine::new(&Dataset::new(random_raw(300, 5, 33)), KsprConfig::default());
@@ -772,27 +658,6 @@ mod tests {
         assert!(estimated_cost(&low, 8) < estimated_cost(&high, 8));
         assert_eq!(arrangement_cost(10, 2), 100.0);
         assert_eq!(arrangement_cost(0, 3), 1.0, "no candidates, unit cost");
-    }
-
-    #[test]
-    fn tiered_batch_matches_per_query_dispatch() {
-        let raw = random_raw(100, 3, 35);
-        let budget = ErrorBudget::new(0.1, 0.9);
-        let engine = QueryEngine::new(
-            &Dataset::new(raw),
-            KsprConfig::default().with_tier(QueryTier::approximate(budget)),
-        );
-        let focals = random_raw(4, 3, 36);
-        let batch = run_tiered_batch(&engine, Algorithm::LpCta, &focals, 3, 41);
-        assert_eq!(batch.len(), focals.len());
-        for (focal, result) in focals.iter().zip(&batch) {
-            let alone = run_tiered(&engine, Algorithm::LpCta, focal, 3, 41);
-            assert_eq!(
-                result.as_approximate().unwrap().impact,
-                alone.as_approximate().unwrap().impact,
-                "batched and single dispatch disagree"
-            );
-        }
     }
 
     #[test]

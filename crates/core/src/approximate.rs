@@ -96,9 +96,8 @@ impl Default for ErrorBudget {
     }
 }
 
-/// Which processing tier answers a kSPR query (the
-/// [`crate::config::KsprConfig::tier`] knob, dispatched by `kspr-approx` and
-/// the `kspr-serve` front-end).
+/// Which processing tier answers a kSPR query (chosen per request and
+/// dispatched by the `kspr-serve` front-end).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum QueryTier {
     /// The exact engine: full region decomposition, paper semantics.  The

@@ -1,7 +1,6 @@
 //! Query configuration: every optimization of the paper can be toggled so the
 //! ablation experiments (Figures 16–18, 22) can isolate its effect.
 
-use crate::approximate::QueryTier;
 use kspr_geometry::Space;
 use kspr_spatial::IoCostModel;
 
@@ -34,42 +33,15 @@ pub struct KsprConfig {
     pub use_witness: bool,
     /// Look-ahead bound tier used by LP-CTA.
     pub bound_mode: BoundMode,
-    /// Fanout of the query-local aggregate R-tree built over the records that
-    /// remain after the dominance-based preprocessing of Section 3.1.
-    pub rtree_fanout: usize,
-    /// Cache the focal-independent shared preprocessing (k-skyband +
-    /// dominance graph) on the engine across `run_batch` calls, keyed by `k`
-    /// and patched incrementally on dataset updates.  Disabling it restores
-    /// the compute-per-batch behavior (useful to ablate the cache).
-    pub cache_shared_prep: bool,
     /// Number of dataset shards the serving front-end (`kspr-serve`)
     /// partitions the dataset into.  `1` (the default) serves every query
     /// through a single [`crate::engine::QueryEngine`]; larger values fan
     /// updates out to per-shard engines and answer queries through a merged
     /// candidate engine.  The plain `QueryEngine` ignores this knob.
     pub shards: usize,
-    /// Upper bound on the number of merged candidate engines the serving
-    /// front-end caches (one per distinct client `k` between updates).  `k`
-    /// is client-supplied, so without a cap a stream cycling `k` values would
-    /// retain one full candidate engine (dataset + R-tree + prep cache) per
-    /// distinct `k`.  The plain `QueryEngine` ignores this knob.
-    pub merged_cache_cap: usize,
-    /// Which processing tier answers queries by default: the exact engine
-    /// (paper semantics, the default), the Monte-Carlo estimate under an
-    /// error budget, or cost-based `Auto` routing between the two.  Consumed
-    /// by the `kspr-approx` tier dispatch and the `kspr-serve` front-end;
-    /// [`crate::engine::QueryEngine::run`] itself is always exact.
-    pub tier: QueryTier,
     /// Simulated I/O cost model (Appendix A).  `None` disables I/O accounting
     /// in the reported statistics.
     pub io_model: Option<IoCostModel>,
-    /// Monte-Carlo sample count used when finalized regions need volume
-    /// estimates in three or more working dimensions.
-    pub volume_samples: usize,
-    /// Whether the finalization step (exact geometry of every result cell via
-    /// halfspace intersection) is executed.  The paper includes this step in
-    /// all reported response times.
-    pub finalize: bool,
     /// Number of worker threads a single query may use for intra-query
     /// parallelism (work-stealing CellTree frontier classification).
     ///
@@ -97,14 +69,8 @@ impl Default for KsprConfig {
             use_lemma2: true,
             use_witness: true,
             bound_mode: BoundMode::Fast,
-            rtree_fanout: 32,
-            cache_shared_prep: true,
             shards: 1,
-            merged_cache_cap: 8,
-            tier: QueryTier::Exact,
             io_model: None,
-            volume_samples: 20_000,
-            finalize: true,
             intra_query_threads: 0,
             monitor_batch_window: 32,
         }
@@ -133,20 +99,6 @@ impl KsprConfig {
         }
     }
 
-    /// Convenience: disable the finalization step (useful in micro-benchmarks
-    /// that isolate the CellTree work).
-    pub fn without_finalization(mut self) -> Self {
-        self.finalize = false;
-        self
-    }
-
-    /// Convenience: disable the engine-level shared-prep cache (compute the
-    /// batch preprocessing from scratch on every `run_batch` call).
-    pub fn without_prep_cache(mut self) -> Self {
-        self.cache_shared_prep = false;
-        self
-    }
-
     /// Convenience: the default configuration with `shards` dataset shards
     /// (consumed by the `kspr-serve` front-end).
     ///
@@ -155,24 +107,6 @@ impl KsprConfig {
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard is required");
         self.shards = shards;
-        self
-    }
-
-    /// Convenience: cap the serving front-end's merged-candidate-engine cache
-    /// at `cap` entries.
-    ///
-    /// # Panics
-    /// Panics if `cap == 0` (the serving layer always needs one live engine).
-    pub fn with_merged_cache_cap(mut self, cap: usize) -> Self {
-        assert!(cap >= 1, "the merged cache needs at least one slot");
-        self.merged_cache_cap = cap;
-        self
-    }
-
-    /// Convenience: the default configuration answering queries through
-    /// `tier`.
-    pub fn with_tier(mut self, tier: QueryTier) -> Self {
-        self.tier = tier;
         self
     }
 
@@ -222,11 +156,7 @@ mod tests {
         assert!(c.use_lemma2);
         assert!(c.use_witness);
         assert_eq!(c.bound_mode, BoundMode::Fast);
-        assert!(c.cache_shared_prep);
-        assert!(c.finalize);
         assert_eq!(c.shards, 1, "serving defaults to a single shard");
-        assert_eq!(c.merged_cache_cap, 8);
-        assert_eq!(c.tier, QueryTier::Exact, "the default tier is exact");
         assert_eq!(
             c.intra_query_threads, 0,
             "intra-query workers default to auto"
@@ -266,30 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_cache_cap_builder() {
-        assert_eq!(
-            KsprConfig::default()
-                .with_merged_cache_cap(3)
-                .merged_cache_cap,
-            3
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn rejects_zero_merged_cache_cap() {
-        let _ = KsprConfig::default().with_merged_cache_cap(0);
-    }
-
-    #[test]
-    fn tier_builder() {
-        use crate::approximate::ErrorBudget;
-        let budget = ErrorBudget::new(0.1, 0.9);
-        let c = KsprConfig::default().with_tier(QueryTier::approximate(budget));
-        assert_eq!(c.tier, QueryTier::Approximate { budget });
-    }
-
-    #[test]
     fn monitor_batch_window_builder() {
         assert_eq!(
             KsprConfig::default()
@@ -314,11 +220,7 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let c = KsprConfig::with_bound_mode(BoundMode::Record)
-            .without_finalization()
-            .without_prep_cache();
+        let c = KsprConfig::with_bound_mode(BoundMode::Record);
         assert_eq!(c.bound_mode, BoundMode::Record);
-        assert!(!c.finalize);
-        assert!(!c.cache_shared_prep);
     }
 }

@@ -672,16 +672,8 @@ impl QueryEngine {
     /// Cache discipline: an exact-`k` hit is free; a larger cached band
     /// serves `k` through an `O(band)` view; only a genuinely larger `k`
     /// recomputes (and the old primary is retired into the view map, staying
-    /// servable).  With [`KsprConfig::cache_shared_prep`] disabled this
-    /// recomputes per call — the pre-cache behavior, kept for ablations.
+    /// servable).
     fn shared_prep(&self, k: usize) -> Arc<SharedPrep> {
-        let compute = || {
-            self.prep_computes.fetch_add(1, Ordering::Relaxed);
-            Arc::new(SharedPrep::compute(self.store.dataset(), k))
-        };
-        if !self.config.cache_shared_prep {
-            return compute();
-        }
         let mut cache = self.lock_cache();
         // Updates patch the cache synchronously, so a stale epoch can only be
         // seen if the store was swapped out from under us; drop everything.
@@ -700,7 +692,8 @@ impl QueryEngine {
                 view
             }
             _ => {
-                let prep = compute();
+                self.prep_computes.fetch_add(1, Ordering::Relaxed);
+                let prep = Arc::new(SharedPrep::compute(self.store.dataset(), k));
                 if let Some(old) = cache.primary.take() {
                     // The retired primary is still the exact band for its k.
                     cache.views.insert(old.k(), old);
@@ -792,8 +785,8 @@ impl QueryEngine {
             Some(policy) => self.run_policy(policy.as_ref(), focal, k, shared, concurrent),
             // The sweep-based baselines have self-contained drivers.
             None => match algorithm {
-                Algorithm::Rtopk => run_rtopk(self.store.dataset(), focal, k, &self.config),
-                Algorithm::IMaxRank => run_imaxrank(self.store.dataset(), focal, k, &self.config),
+                Algorithm::Rtopk => run_rtopk(self.store.dataset(), focal, k),
+                Algorithm::IMaxRank => run_imaxrank(self.store.dataset(), focal, k),
                 _ => unreachable!("policy_for covers all CellTree algorithms"),
             },
         };
@@ -821,7 +814,7 @@ impl QueryEngine {
             self.store.dataset(),
             focal,
             k,
-            self.config.rtree_fanout,
+            AggregateRTree::DEFAULT_FANOUT,
             &mut stats,
         ) {
             Prepared::Empty { .. } => {
@@ -831,9 +824,7 @@ impl QueryEngine {
             Prepared::WholeSpace { dominators } => {
                 stats.phases.prep_ns += elapsed_ns(&prep_clock);
                 let mut result = KsprResult::whole_space(space, dominators + 1, stats);
-                if self.config.finalize {
-                    result.finalize();
-                }
+                result.finalize();
                 return result;
             }
             Prepared::Filtered(f) => f,
@@ -853,7 +844,7 @@ impl QueryEngine {
         // monitor's cell-wise LP-CTA patching rests on exactly this
         // invariance.
         let filtered = if policy.use_rank_bounds() {
-            restrict_to_witness_skyband(filtered, self.config.rtree_fanout, shared, k)
+            restrict_to_witness_skyband(filtered, shared, k)
         } else {
             filtered
         };
@@ -926,7 +917,6 @@ impl QueryEngine {
 /// passed through untouched.
 fn restrict_to_witness_skyband(
     filtered: FilteredQuery,
-    fanout: usize,
     shared: Option<&SharedPrep>,
     k: usize,
 ) -> FilteredQuery {
@@ -950,7 +940,10 @@ fn restrict_to_witness_skyband(
         .map(|(i, &id)| Record::new(i, filtered.records[id].values.clone()))
         .collect();
     let original_ids: Vec<usize> = keep.iter().map(|&id| filtered.original_ids[id]).collect();
-    let tree = Arc::new(AggregateRTree::bulk_load(records.clone(), fanout));
+    let tree = Arc::new(AggregateRTree::bulk_load(
+        records.clone(),
+        AggregateRTree::DEFAULT_FANOUT,
+    ));
     let io_base = tree.io().reads();
     FilteredQuery {
         records,
@@ -1279,9 +1272,7 @@ impl<'a> Traversal<'a> {
             regions: self.regions,
             stats: self.stats,
         };
-        if self.config.finalize {
-            result.finalize();
-        }
+        result.finalize();
         result
     }
 }
@@ -1705,16 +1696,6 @@ mod tests {
         assert_eq!(engine.shared_prep_computes(), 1);
         assert_eq!(engine.shared_prep_for(2).k(), 2, "smaller k is a view");
         assert_eq!(engine.shared_prep_computes(), 1);
-    }
-
-    #[test]
-    fn disabling_the_prep_cache_recomputes_per_batch() {
-        let (dataset, _, _) = figure1();
-        let engine = QueryEngine::new(&dataset, KsprConfig::default().without_prep_cache());
-        let focals = vec![vec![5.0, 5.0, 7.0]];
-        engine.run_batch(Algorithm::LpCta, &focals, 3);
-        engine.run_batch(Algorithm::LpCta, &focals, 3);
-        assert_eq!(engine.shared_prep_computes(), 2);
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //! substitute).  It is intentionally expensive; the benchmark harness only
 //! runs it on small instances, exactly as the paper does.
 
-use crate::config::KsprConfig;
 use crate::dataset::Dataset;
 use crate::prep::{prepare_with_index, Prepared};
 use crate::result::{KsprResult, Region};
 use crate::stats::QueryStats;
 use kspr_geometry::{Hyperplane, Polytope, PreferenceSpace, Sign};
 use kspr_lp::{LinearConstraint, Relation};
+use kspr_spatial::AggregateRTree;
 
 /// Maximum number of cutting hyperplanes tolerated in a Quad-tree leaf before
 /// it is subdivided further.
@@ -34,18 +34,22 @@ const MAX_DEPTH: usize = 6;
 ///
 /// # Panics
 /// Panics if `k == 0` or the focal arity mismatches the dataset.
-pub fn run_imaxrank(dataset: &Dataset, focal: &[f64], k: usize, config: &KsprConfig) -> KsprResult {
+pub fn run_imaxrank(dataset: &Dataset, focal: &[f64], k: usize) -> KsprResult {
     let space = PreferenceSpace::transformed(focal.len());
     let dim = space.work_dim();
     let mut stats = QueryStats::new();
 
-    let filtered = match prepare_with_index(dataset, focal, k, config.rtree_fanout, &mut stats) {
+    let filtered = match prepare_with_index(
+        dataset,
+        focal,
+        k,
+        AggregateRTree::DEFAULT_FANOUT,
+        &mut stats,
+    ) {
         Prepared::Empty { .. } => return KsprResult::empty(space, stats),
         Prepared::WholeSpace { dominators } => {
             let mut r = KsprResult::whole_space(space, dominators + 1, stats);
-            if config.finalize {
-                r.finalize();
-            }
+            r.finalize();
             return r;
         }
         Prepared::Filtered(f) => f,
@@ -81,9 +85,7 @@ pub fn run_imaxrank(dataset: &Dataset, focal: &[f64], k: usize, config: &KsprCon
         regions,
         stats,
     };
-    if config.finalize {
-        result.finalize();
-    }
+    result.finalize();
     result
 }
 
@@ -344,6 +346,7 @@ fn enumerate_cells(
 mod tests {
     use super::*;
     use crate::algorithms::run_lpcta;
+    use crate::config::KsprConfig;
     use crate::naive;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -361,7 +364,7 @@ mod tests {
         let (dataset, raw) = random_dataset(40, 3, 4);
         let focal = vec![0.7, 0.6, 0.65];
         for k in [1, 3] {
-            let result = run_imaxrank(&dataset, &focal, k, &KsprConfig::default());
+            let result = run_imaxrank(&dataset, &focal, k);
             let agreement = naive::classification_agreement(&result, &raw, &focal, k, 300, 5);
             assert!(agreement > 0.99, "k={k}: agreement {agreement}");
         }
@@ -372,7 +375,7 @@ mod tests {
         let (dataset, _) = random_dataset(30, 3, 11);
         let focal = vec![0.6, 0.6, 0.6];
         let config = KsprConfig::default();
-        let a = run_imaxrank(&dataset, &focal, 2, &config);
+        let a = run_imaxrank(&dataset, &focal, 2);
         let b = run_lpcta(&dataset, &focal, 2, &config);
         let points = naive::sample_weights(&a.space, 200, 17);
         for w in points {

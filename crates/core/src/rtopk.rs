@@ -10,18 +10,18 @@
 //! RTOPK competitor in Figure 10(a); it does not extend beyond two
 //! dimensions.
 
-use crate::config::KsprConfig;
 use crate::dataset::Dataset;
 use crate::prep::{prepare_with_index, Prepared};
 use crate::result::{KsprResult, Region};
 use crate::stats::QueryStats;
 use kspr_geometry::{Hyperplane, PreferenceSpace, Sign};
+use kspr_spatial::AggregateRTree;
 
 /// Runs the RTOPK sweep.
 ///
 /// # Panics
 /// Panics if the dataset is not 2-dimensional or `k == 0`.
-pub fn run_rtopk(dataset: &Dataset, focal: &[f64], k: usize, config: &KsprConfig) -> KsprResult {
+pub fn run_rtopk(dataset: &Dataset, focal: &[f64], k: usize) -> KsprResult {
     assert_eq!(
         dataset.dim(),
         2,
@@ -34,13 +34,17 @@ pub fn run_rtopk(dataset: &Dataset, focal: &[f64], k: usize, config: &KsprConfig
     // The same dominance-based preprocessing as the CellTree methods
     // (RTOPK "only considers records that neither dominate nor are dominated
     // by the focal record", Section 7.3).
-    let filtered = match prepare_with_index(dataset, focal, k, config.rtree_fanout, &mut stats) {
+    let filtered = match prepare_with_index(
+        dataset,
+        focal,
+        k,
+        AggregateRTree::DEFAULT_FANOUT,
+        &mut stats,
+    ) {
         Prepared::Empty { .. } => return KsprResult::empty(space, stats),
         Prepared::WholeSpace { dominators } => {
             let mut r = KsprResult::whole_space(space, dominators + 1, stats);
-            if config.finalize {
-                r.finalize();
-            }
+            r.finalize();
             return r;
         }
         Prepared::Filtered(f) => f,
@@ -148,9 +152,7 @@ pub fn run_rtopk(dataset: &Dataset, focal: &[f64], k: usize, config: &KsprConfig
         regions,
         stats,
     };
-    if config.finalize {
-        result.finalize();
-    }
+    result.finalize();
     result
 }
 
@@ -182,6 +184,7 @@ fn interval_region(start: f64, end: f64, rank: usize) -> Region {
 mod tests {
     use super::*;
     use crate::algorithms::run_lpcta;
+    use crate::config::KsprConfig;
     use crate::naive;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -199,7 +202,7 @@ mod tests {
         let (dataset, raw) = random_dataset(200, 5);
         let focal = vec![0.7, 0.6];
         for k in [1, 5, 10] {
-            let result = run_rtopk(&dataset, &focal, k, &KsprConfig::default());
+            let result = run_rtopk(&dataset, &focal, k);
             let agreement = naive::classification_agreement(&result, &raw, &focal, k, 500, 3);
             assert!(agreement > 0.995, "k={k}: agreement {agreement}");
         }
@@ -210,7 +213,7 @@ mod tests {
         let (dataset, _raw) = random_dataset(150, 9);
         let focal = vec![0.6, 0.7];
         let config = KsprConfig::default();
-        let a = run_rtopk(&dataset, &focal, 5, &config);
+        let a = run_rtopk(&dataset, &focal, 5);
         let b = run_lpcta(&dataset, &focal, 5, &config);
         for i in 1..100 {
             let w = vec![i as f64 / 100.0];
@@ -231,6 +234,6 @@ mod tests {
     #[should_panic(expected = "2-dimensional")]
     fn rejects_higher_dimensional_data() {
         let dataset = Dataset::new(vec![vec![0.1, 0.2, 0.3]]);
-        run_rtopk(&dataset, &[0.1, 0.2, 0.3], 1, &KsprConfig::default());
+        run_rtopk(&dataset, &[0.1, 0.2, 0.3], 1);
     }
 }

@@ -13,15 +13,15 @@
 //! every draw.  (The vendored proptest draws deterministic inputs per test
 //! name, so these rates are stable across runs.)
 //!
-//! The file also pins the acceptance-criterion regression: with `shards = 1`
-//! and `QueryTier::Exact`, the tiered dispatch is a bit-for-bit passthrough
-//! of the plain engine.
+//! The file also pins the acceptance-criterion regression: a
+//! `QueryTier::Exact` request submitted to a single-shard `Server` is
+//! answered as a bit-for-bit passthrough of the plain engine.
 
-use kspr_repro::approx::{run_tiered_batch, ApproxEngine, TieredResult};
+use kspr_repro::approx::{ApproxEngine, TieredResult};
 use kspr_repro::kspr::{
     naive, Algorithm, Dataset, ErrorBudget, KsprConfig, QueryEngine, QueryTier,
 };
-use kspr_repro::serve::ShardedEngine;
+use kspr_repro::serve::{ServeOptions, Server, ShardedEngine};
 use proptest::prelude::*;
 
 /// Strategy: a record with `d` attributes in (0, 1).
@@ -159,33 +159,33 @@ proptest! {
         focal in record_strategy(3),
         k in 1usize..5,
     ) {
-        // The acceptance-criterion regression: `shards = 1` +
-        // `QueryTier::Exact` must execute exactly what the plain engine
-        // executes — identical regions, identical work counters.
+        // The acceptance-criterion regression: a `QueryTier::Exact` request
+        // through the serving dispatcher over `shards = 1` must execute
+        // exactly what the plain engine executes — identical regions,
+        // identical work counters.
         let plain = QueryEngine::new(&Dataset::new(raw.clone()), KsprConfig::default());
-        let focals = vec![focal];
+        let want = plain.run(Algorithm::LpCta, &focal, k);
 
-        let sharded = ShardedEngine::new(raw.clone(), KsprConfig::default());
-        let via_sharded =
-            sharded.run_tiered_batch(Algorithm::LpCta, &focals, k, QueryTier::Exact, 1);
-        let via_engine = run_tiered_batch(&plain, Algorithm::LpCta, &focals, k, 1);
-        let want = plain.run(Algorithm::LpCta, &focals[0], k);
-        for (label, tiered) in [("sharded", &via_sharded[0]), ("engine", &via_engine[0])] {
-            let got = match tiered {
-                TieredResult::Exact(result) => result,
-                TieredResult::Approximate(_) => panic!("Exact tier must never sample"),
-            };
-            prop_assert_eq!(got.num_regions(), want.num_regions(), "{}", label);
-            prop_assert_eq!(
-                got.stats.processed_records,
-                want.stats.processed_records,
-                "{}", label
-            );
-            prop_assert_eq!(got.stats.celltree_nodes, want.stats.celltree_nodes, "{}", label);
-            prop_assert_eq!(got.rank_signature(), want.rank_signature(), "{}", label);
-            for w in naive::sample_weights(&want.space, 24, 11) {
-                prop_assert_eq!(got.contains(&w), want.contains(&w), "{} at {:?}", label, &w);
-            }
+        let server = Server::start(
+            ShardedEngine::new(raw, KsprConfig::default()),
+            ServeOptions::default(),
+        );
+        let answer = server
+            .handle()
+            .submit_tiered(Algorithm::LpCta, focal, k, QueryTier::Exact)
+            .wait()
+            .expect("a well-formed exact request is answered");
+        let _ = server.shutdown();
+        let got = match answer {
+            TieredResult::Exact(result) => result,
+            TieredResult::Approximate(_) => panic!("Exact tier must never sample"),
+        };
+        prop_assert_eq!(got.num_regions(), want.num_regions());
+        prop_assert_eq!(got.stats.processed_records, want.stats.processed_records);
+        prop_assert_eq!(got.stats.celltree_nodes, want.stats.celltree_nodes);
+        prop_assert_eq!(got.rank_signature(), want.rank_signature());
+        for w in naive::sample_weights(&want.space, 24, 11) {
+            prop_assert_eq!(got.contains(&w), want.contains(&w), "at {:?}", &w);
         }
     }
 }

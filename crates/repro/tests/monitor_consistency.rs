@@ -22,7 +22,7 @@
 
 use kspr_repro::kspr::{naive, Algorithm, Dataset, KsprConfig, KsprResult, QueryEngine};
 use kspr_repro::monitor::{Monitor, MonitoredEngine, QueryId, UpdateKind};
-use kspr_repro::serve::{ShardStrategy, ShardedEngine};
+use kspr_repro::serve::ShardedEngine;
 use proptest::prelude::*;
 
 const ALGORITHMS: [Algorithm; 4] = [
@@ -230,12 +230,10 @@ proptest! {
         focal in record_strategy(3),
         k in 1usize..4,
         shards in 2usize..5,
-        spatial in 0u8..2,
         window in 1usize..4,
     ) {
         let config = KsprConfig::default().with_shards(shards);
-        let strategy = if spatial == 1 { ShardStrategy::Subtrees } else { ShardStrategy::RoundRobin };
-        let mut sharded = ShardedEngine::with_strategy(raw.clone(), config, strategy);
+        let mut sharded = ShardedEngine::new(raw.clone(), config);
         // Drive the monitors against the sharded engine directly — the same
         // coupling the serve dispatcher uses.  The indexed registry is
         // maintained in dispatcher-sized batches; the full-scan registry

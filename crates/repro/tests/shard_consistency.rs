@@ -10,7 +10,7 @@
 //! the `kspr_serve::sharded` module docs).
 
 use kspr_repro::kspr::{naive, Algorithm, Dataset, KsprConfig, QueryEngine};
-use kspr_repro::serve::{ShardStrategy, ShardedEngine};
+use kspr_repro::serve::ShardedEngine;
 use proptest::prelude::*;
 
 /// Strategy: a record with `d` attributes in (0, 1).
@@ -34,11 +34,9 @@ proptest! {
         focal in record_strategy(3),
         k in 1usize..4,
         shards in 2usize..5,
-        spatial in 0u8..2,
     ) {
         let config = KsprConfig::default().with_shards(shards);
-        let strategy = if spatial == 1 { ShardStrategy::Subtrees } else { ShardStrategy::RoundRobin };
-        let mut sharded = ShardedEngine::with_strategy(raw.clone(), config, strategy);
+        let mut sharded = ShardedEngine::new(raw.clone(), config);
         // Mirror of the store: slot -> live values (None = tombstoned).  The
         // sharded engine hands out the same dense global ids.
         let mut mirror: Vec<Option<Vec<f64>>> = raw.into_iter().map(Some).collect();

@@ -43,7 +43,7 @@ pub(crate) enum Msg {
         algorithm: Algorithm,
         focal: Vec<f64>,
         k: usize,
-        deltas: Arc<DeltaQueue>,
+        deltas: Arc<DeltaQueue<ResultDelta>>,
         tx: mpsc::Sender<Result<(QueryId, KsprResult), ServeError>>,
     },
     Unsubscribe {
@@ -58,7 +58,7 @@ pub(crate) enum Msg {
         focal: Vec<f64>,
         k: usize,
         budget: ErrorBudget,
-        deltas: mpsc::Sender<ApproxDelta>,
+        deltas: Arc<DeltaQueue<ApproxDelta>>,
         tx: mpsc::Sender<Result<(ApproxWatchId, ApproxImpact), ServeError>>,
     },
     UnsubscribeApprox {
@@ -114,7 +114,8 @@ pub(crate) fn reject_msg(msg: Msg, err: &ServeError) -> u64 {
             let _ = tx.send(Err(err.clone()));
             1
         }
-        Msg::SubscribeApprox { tx, .. } => {
+        Msg::SubscribeApprox { deltas, tx, .. } => {
+            deltas.close();
             let _ = tx.send(Err(err.clone()));
             1
         }
@@ -152,7 +153,7 @@ pub(crate) struct DispatchConfig {
 /// dropped but its unsubscribe message is still in flight, and the
 /// notification is simply discarded.
 fn notify(
-    subscribers: &HashMap<QueryId, Arc<DeltaQueue>>,
+    subscribers: &HashMap<QueryId, Arc<DeltaQueue<ResultDelta>>>,
     deltas: Vec<ResultDelta>,
     live: &LiveStats,
 ) {
@@ -184,7 +185,7 @@ fn notify(
 /// resume watching.
 fn maintain_standing(
     monitor: &mut Monitor,
-    subscribers: &mut HashMap<QueryId, Arc<DeltaQueue>>,
+    subscribers: &mut HashMap<QueryId, Arc<DeltaQueue<ResultDelta>>>,
     live: &LiveStats,
     apply: impl FnOnce(&mut Monitor) -> Vec<ResultDelta>,
 ) {
@@ -205,19 +206,21 @@ fn maintain_standing(
     }
 }
 
-/// Maintains every **approximate** standing query for one committed update:
-/// an update the witness classifier proves impact-preserving leaves the held
-/// estimate untouched (it is still a valid draw for the unchanged truth);
-/// anything else redraws the estimate against the post-update state and
-/// pushes an [`ApproxDelta`].  A panic inside the re-estimation invalidates
-/// the approximate registry exactly like the exact registry (subscribers
-/// re-subscribe), since a half-maintained watch set would silently serve
-/// stale estimates.
+/// Maintains every **approximate** standing query for one committed update
+/// batch.  Every (update, watch) pair is classified against the post-batch
+/// state: a pair the witness classifier proves impact-preserving counts as
+/// unaffected, and a watch whose every pair is preserving keeps its estimate
+/// (it is still a valid draw for the unchanged truth).  Any other watch is
+/// redrawn once against the post-batch state and pushes one
+/// [`ApproxDelta`] spanning the whole batch.  A panic inside the
+/// re-estimation invalidates the approximate registry exactly like the
+/// exact registry (subscribers re-subscribe), since a half-maintained watch
+/// set would silently serve stale estimates.
 fn maintain_approx_watch(
     engine: &ShardedEngine,
     watch: &mut HashMap<ApproxWatchId, ApproxStanding>,
     live: &LiveStats,
-    values: &[f64],
+    batch: &[(UpdateKind, Vec<f64>)],
     approx_seed: &mut u64,
 ) {
     if watch.is_empty() {
@@ -231,8 +234,14 @@ fn maintain_approx_watch(
         ids.sort_unstable();
         for id in ids {
             let standing = &watch[&id];
-            if update_preserves_impact(engine, &standing.focal, standing.k, values) {
-                unaffected += 1;
+            let preserved = batch
+                .iter()
+                .filter(|(_, values)| {
+                    update_preserves_impact(engine, &standing.focal, standing.k, values)
+                })
+                .count();
+            unaffected += preserved as u64;
+            if preserved == batch.len() {
                 continue;
             }
             let seed = *approx_seed;
@@ -261,13 +270,16 @@ fn maintain_approx_watch(
                     before,
                     after: fresh,
                 };
-                if standing.deltas.send(delta).is_ok() {
+                if !matches!(standing.deltas.push(delta), DeltaPush::Closed) {
                     live.approx_notifications.inc();
                 }
             }
         }
         Err(_) => {
             live.maintenance_failures.inc();
+            for standing in watch.values() {
+                standing.deltas.close();
+            }
             watch.clear();
         }
     }
@@ -353,7 +365,7 @@ pub(crate) fn dispatch(
     } = config;
     let live = &metrics.live;
     let mut carry: VecDeque<Msg> = VecDeque::new();
-    let mut subscribers: HashMap<QueryId, Arc<DeltaQueue>> = HashMap::new();
+    let mut subscribers: HashMap<QueryId, Arc<DeltaQueue<ResultDelta>>> = HashMap::new();
     let mut approx_watch: HashMap<ApproxWatchId, ApproxStanding> = HashMap::new();
     let mut next_approx_id: ApproxWatchId = 0;
     // Seed stream of the sampling tier: one fresh seed per sweep, so
@@ -497,23 +509,11 @@ pub(crate) fn dispatch(
                 let applied = acks.len();
                 let durable = persist.is_some();
                 if let Some(persist) = persist.as_mut() {
-                    if !acks.is_empty() {
-                        match persist.commit() {
-                            Ok(()) => {
-                                live.wal_commits.inc();
-                                metrics.wal_committed(
-                                    persist.wal_bytes(),
-                                    persist.last_commit_nanos(),
-                                    persist.synced(),
-                                );
-                            }
-                            Err(_) => {
-                                for ack in acks.drain(..) {
-                                    ack.fail(live);
-                                }
-                                update_failed = true;
-                            }
+                    if persist.commit(&metrics).is_err() {
+                        for ack in acks.drain(..) {
+                            ack.fail(live);
                         }
+                        update_failed = true;
                     }
                 }
                 for ack in acks {
@@ -539,15 +539,13 @@ pub(crate) fn dispatch(
                     maintain_standing(&mut monitor, &mut subscribers, live, |monitor| {
                         monitor.apply_batch(&engine, &batch)
                     });
-                    for (_, values) in &batch {
-                        maintain_approx_watch(
-                            &engine,
-                            &mut approx_watch,
-                            live,
-                            values,
-                            &mut approx_seed,
-                        );
-                    }
+                    maintain_approx_watch(
+                        &engine,
+                        &mut approx_watch,
+                        live,
+                        &batch,
+                        &mut approx_seed,
+                    );
                     // The pass is timed from outside (the Notify stage has
                     // no single request to trace), and the refreshed
                     // monitor stats are published for non-blocking reads.
@@ -570,22 +568,16 @@ pub(crate) fn dispatch(
                         Ok(_) => {
                             live.compactions.inc();
                             if let Some(persist) = persist.as_mut() {
-                                match persist.install(&snapshot_of(&engine, &monitor)) {
-                                    Ok(()) => {
-                                        live.snapshots.inc();
-                                        metrics.snapshot_installed(
-                                            persist.wal_bytes(),
-                                            persist.snapshot_epoch(),
-                                        );
-                                    }
-                                    Err(_) => {
-                                        // The durable directory is no longer
-                                        // writable; refuse to keep acknowledging
-                                        // updates that could not be replayed.
-                                        live.reject(&ServeError::UpdateFailed);
-                                        update_failed = true;
-                                        break;
-                                    }
+                                if persist
+                                    .install(&snapshot_of(&engine, &monitor), &metrics)
+                                    .is_err()
+                                {
+                                    // The durable directory is no longer
+                                    // writable; refuse to keep acknowledging
+                                    // updates that could not be replayed.
+                                    live.reject(&ServeError::UpdateFailed);
+                                    update_failed = true;
+                                    break;
                                 }
                             }
                         }
@@ -614,26 +606,18 @@ pub(crate) fn dispatch(
                     Ok(Ok(id)) => {
                         // Registry changes are durable like updates: log,
                         // commit, only then acknowledge.
-                        let mut committed = true;
-                        if let (Some(persist), Some(focal)) = (persist.as_mut(), logged) {
-                            persist.append(&WalRecord::Subscribe {
-                                id,
-                                algorithm,
-                                focal,
-                                k,
-                            });
-                            match persist.commit() {
-                                Ok(()) => {
-                                    live.wal_commits.inc();
-                                    metrics.wal_committed(
-                                        persist.wal_bytes(),
-                                        persist.last_commit_nanos(),
-                                        persist.synced(),
-                                    );
-                                }
-                                Err(_) => committed = false,
+                        let committed = match (persist.as_mut(), logged) {
+                            (Some(persist), Some(focal)) => {
+                                persist.append(&WalRecord::Subscribe {
+                                    id,
+                                    algorithm,
+                                    focal,
+                                    k,
+                                });
+                                persist.commit(&metrics).is_ok()
                             }
-                        }
+                            _ => true,
+                        };
                         if committed {
                             live.subscriptions.inc();
                             live.set_monitor(monitor.stats());
@@ -669,23 +653,13 @@ pub(crate) fn dispatch(
                     queue.close();
                 }
                 live.set_monitor(monitor.stats());
-                let mut committed = true;
-                if removed {
-                    if let Some(persist) = persist.as_mut() {
+                let committed = match persist.as_mut() {
+                    Some(persist) if removed => {
                         persist.append(&WalRecord::Unsubscribe { id });
-                        match persist.commit() {
-                            Ok(()) => {
-                                live.wal_commits.inc();
-                                metrics.wal_committed(
-                                    persist.wal_bytes(),
-                                    persist.last_commit_nanos(),
-                                    persist.synced(),
-                                );
-                            }
-                            Err(_) => committed = false,
-                        }
+                        persist.commit(&metrics).is_ok()
                     }
-                }
+                    _ => true,
+                };
                 if committed {
                     if let Some(tx) = tx {
                         let _ = tx.send(Ok(removed));
@@ -767,7 +741,14 @@ pub(crate) fn dispatch(
                 }
             }
             Msg::UnsubscribeApprox { id, tx } => {
-                let removed = approx_watch.remove(&id).is_some();
+                let removed = match approx_watch.remove(&id) {
+                    Some(standing) => {
+                        // Wake a receiver still blocked on the dead stream.
+                        standing.deltas.close();
+                        true
+                    }
+                    None => false,
+                };
                 if let Some(tx) = tx {
                     let _ = tx.send(Ok(removed));
                 }
@@ -819,14 +800,9 @@ pub(crate) fn dispatch(
         // commit happens before its batch is acknowledged.)
         if shutting_down {
             if let Some(persist) = persist.as_mut() {
-                if persist
-                    .commit()
-                    .and_then(|()| persist.install(&snapshot_of(&engine, &monitor)))
-                    .is_ok()
-                {
-                    live.snapshots.inc();
-                    metrics.snapshot_installed(persist.wal_bytes(), persist.snapshot_epoch());
-                }
+                let _ = persist
+                    .commit(&metrics)
+                    .and_then(|()| persist.install(&snapshot_of(&engine, &monitor), &metrics));
             }
         }
     }
@@ -834,6 +810,9 @@ pub(crate) fn dispatch(
     // dispatcher state drops.
     for queue in subscribers.values() {
         queue.close();
+    }
+    for standing in approx_watch.values() {
+        standing.deltas.close();
     }
     live.set_monitor(monitor.stats());
     (engine, live.snapshot())

@@ -4,8 +4,8 @@
 //! [`kspr::QueryEngine`] over a single dataset copy.  This crate turns that
 //! library call into a **service**:
 //!
-//! * [`ShardedEngine`] partitions the dataset (round-robin or by R-tree
-//!   subtrees) into a pool of `QueryEngine` shards.  Updates route to the
+//! * [`ShardedEngine`] partitions the dataset round-robin into a pool of
+//!   `QueryEngine` shards.  Updates route to the
 //!   owning shard and patch its R-tree and shared-prep cache incrementally;
 //!   queries fan out over the per-shard k-skybands and run on a merged,
 //!   cached candidate engine.  The merge is result-preserving — see the
@@ -101,7 +101,7 @@ pub use kspr_telemetry::{
 pub use net::NetServer;
 pub use persist::RecoverError;
 pub use server::{ServeHandle, ServeOptions, Server};
-pub use sharded::{ShardStrategy, ShardedEngine};
+pub use sharded::ShardedEngine;
 pub use stats::{RejectionStats, ServeStats, REJECTION_VARIANTS};
 pub use subscription::{
     ApproxDelta, ApproxSubscribeTicket, ApproxSubscription, ApproxWatchId, SubscribeTicket,

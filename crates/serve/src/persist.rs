@@ -17,6 +17,7 @@
 //! their maintained results equal fresh re-runs — the bit-identical
 //! recovery guarantee.
 
+use crate::telemetry::ServeMetrics;
 use crate::ShardedEngine;
 use kspr::KsprConfig;
 use kspr_durable::{DurableError, DurableStore, Registration, SnapshotState, WalRecord, WalWriter};
@@ -47,44 +48,40 @@ impl Persist {
         self.writer.append(record);
     }
 
-    /// Commits (write + fsync) everything staged.  A no-op when nothing is
-    /// staged.
-    pub(crate) fn commit(&mut self) -> std::io::Result<()> {
-        self.writer.commit()
+    /// Commits (write + fsync) everything staged and publishes the commit:
+    /// the `wal_commits` counter, the `kspr_wal_fsyncs` counter (synced
+    /// writers only), the commit-latency histogram and the WAL size gauge.
+    /// Nothing staged means nothing is written, so nothing is published.
+    pub(crate) fn commit(&mut self, metrics: &ServeMetrics) -> std::io::Result<()> {
+        let before = self.writer.commits();
+        self.writer.commit()?;
+        if self.writer.commits() > before {
+            metrics.live.wal_commits.inc();
+            metrics.wal_committed(
+                self.writer.bytes(),
+                self.writer.last_commit_nanos(),
+                self.sync,
+            );
+        }
+        Ok(())
     }
 
-    /// Bytes of WAL committed since the current epoch's snapshot (telemetry:
-    /// the `kspr_wal_bytes` gauge).
-    pub(crate) fn wal_bytes(&self) -> u64 {
-        self.writer.bytes()
-    }
-
-    /// Duration of the most recent [`Persist::commit`], nanoseconds.
-    pub(crate) fn last_commit_nanos(&self) -> u64 {
-        self.writer.last_commit_nanos()
-    }
-
-    /// Whether commits fsync (telemetry: the `kspr_wal_fsyncs` counter only
-    /// counts synced commits).
-    pub(crate) fn synced(&self) -> bool {
-        self.sync
-    }
-
-    /// The store's current snapshot epoch (telemetry: the
-    /// `kspr_snapshot_epoch` gauge).
-    pub(crate) fn snapshot_epoch(&self) -> u64 {
-        self.store.snapshot_epoch()
-    }
-
-    /// Installs `state` as the new epoch snapshot and truncates the WAL.
+    /// Installs `state` as the new epoch snapshot, truncates the WAL and
+    /// publishes the new epoch.
     ///
     /// Truncation reuses the WAL path with a fresh file, which invalidates
     /// this writer's append offset — so the writer is reopened afterwards.
     /// Only called from a quiesced point (no staged records), which the
     /// reopen would otherwise silently discard.
-    pub(crate) fn install(&mut self, state: &SnapshotState) -> std::io::Result<()> {
+    pub(crate) fn install(
+        &mut self,
+        state: &SnapshotState,
+        metrics: &ServeMetrics,
+    ) -> std::io::Result<()> {
         self.store.install_snapshot(state)?;
         self.writer = self.store.wal_writer(self.sync)?;
+        metrics.live.snapshots.inc();
+        metrics.snapshot_installed(self.writer.bytes(), self.store.snapshot_epoch());
         Ok(())
     }
 }

@@ -413,18 +413,18 @@ impl ServeHandle {
         k: usize,
         budget: ErrorBudget,
     ) -> ApproxSubscribeTicket {
-        let (delta_tx, delta_rx) = mpsc::channel();
+        let queue = DeltaQueue::new();
         let (tx, rx) = mpsc::channel();
         self.enqueue(Msg::SubscribeApprox {
             focal,
             k,
             budget,
-            deltas: delta_tx,
+            deltas: Arc::clone(&queue),
             tx,
         });
         ApproxSubscribeTicket {
             rx,
-            deltas: delta_rx,
+            deltas: queue,
             control: self.tx.clone(),
         }
     }
@@ -1335,6 +1335,76 @@ mod tests {
         assert_eq!(stats.monitor.classified(), 9);
         assert_eq!(stats.monitor.unaffected, 9);
         assert_eq!(stats.notifications, 0);
+    }
+
+    #[test]
+    fn approx_watches_redraw_once_per_update_batch() {
+        use kspr::ErrorBudget;
+        let server = Server::start(
+            ShardedEngine::empty(
+                2,
+                KsprConfig::default()
+                    .with_shards(2)
+                    .with_monitor_batch_window(4),
+            ),
+            ServeOptions::default(),
+        );
+        let handle = server.handle();
+        // A live competitor the watched focal record dominates, so the
+        // blocker below actually samples.
+        handle.insert(vec![0.3, 0.3]).wait().expect("first insert");
+        let sub = handle
+            .subscribe_approx(vec![0.5, 0.5], 1, ErrorBudget::new(0.1, 0.9))
+            .wait()
+            .expect("subscribe");
+        assert_eq!(sub.initial().impact, 1.0);
+        // Block the dispatcher on an expensive approximate registration so
+        // the burst below is fully queued and drains as one batch.
+        let blocker = handle.subscribe_approx(vec![0.95, 0.95], 1, ErrorBudget::new(0.002, 0.99));
+        // Four mutually incomparable inserts, each dominating the watched
+        // focal record (and each dominated by the blocker's).
+        let tickets: Vec<_> = [[0.6, 0.9], [0.7, 0.8], [0.8, 0.7], [0.9, 0.6]]
+            .iter()
+            .map(|values| handle.insert(values.to_vec()))
+            .collect();
+        let blocker = blocker.wait().expect("blocker subscribe");
+        for t in tickets {
+            t.wait().expect("burst insert");
+        }
+        assert_eq!(handle.approx_subscriptions().wait(), Ok(2));
+        let deltas = sub.poll();
+        assert_eq!(deltas.len(), 1, "one redraw for the whole drained batch");
+        assert_eq!(deltas[0].before.impact, 1.0, "the pre-batch estimate");
+        assert_eq!(deltas[0].after.impact, 0.0, "the post-batch estimate");
+        drop(blocker);
+        drop(sub);
+        let (_, stats) = server.shutdown();
+        assert_eq!(stats.update_batches, 2, "the burst drained as one batch");
+        assert_eq!(stats.approx_notifications, 1);
+        assert_eq!(
+            stats.approx_watch_unaffected, 4,
+            "every (burst insert, blocker) pair is classified away"
+        );
+    }
+
+    #[test]
+    fn no_op_deletes_commit_nothing_to_the_wal() {
+        let dir = std::env::temp_dir().join(format!("kspr-noop-delete-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start_durable(demo_engine(1), ServeOptions::default(), &dir)
+            .expect("durable server");
+        let handle = server.handle();
+        let fsyncs = |handle: &ServeHandle| handle.metrics().counter("kspr_wal_fsyncs");
+        // An unknown id is acknowledged but never logged: nothing is written.
+        assert_eq!(handle.delete(999).wait(), Ok(false));
+        assert_eq!(handle.stats_now().wal_commits, 0);
+        assert_eq!(fsyncs(&handle), Some(0));
+        // A real delete still commits (and fsyncs) once.
+        assert_eq!(handle.delete(0).wait(), Ok(true));
+        assert_eq!(handle.stats_now().wal_commits, 1);
+        assert_eq!(fsyncs(&handle), Some(1));
+        let _ = server.shutdown();
+        std::fs::remove_dir_all(&dir).expect("remove the state directory");
     }
 
     #[test]

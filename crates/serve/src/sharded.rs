@@ -3,10 +3,10 @@
 //!
 //! # Architecture
 //!
-//! The dataset is partitioned into `S` shards — either round-robin or by
-//! R-tree subtrees ([`ShardStrategy`]) — and each shard owns a full
-//! [`QueryEngine`]: its own record partition, its own incrementally
-//! maintained R-tree, and its own per-`k` [`kspr::SharedPrep`] cache.
+//! The dataset is partitioned round-robin into `S` shards, and each shard
+//! owns a full [`QueryEngine`]: its own record partition, its own
+//! incrementally maintained R-tree, and its own per-`k` [`kspr::SharedPrep`]
+//! cache.
 //! Updates route to the owning shard ([`ShardedEngine::insert`] round-robins
 //! over shards, [`ShardedEngine::delete`] follows the global-id map), so the
 //! per-update maintenance cost — including the `O(shard)` promotion scan a
@@ -45,27 +45,19 @@
 
 use kspr::{
     Algorithm, ApproxImpact, Dataset, DatasetStore, ErrorBudget, KsprConfig, KsprResult,
-    PreferenceSpace, QueryEngine, QueryStats, QueryTier, RecordId,
+    PreferenceSpace, QueryEngine, QueryStats, RecordId,
 };
-use kspr_approx::{arrangement_cost, pool_estimates, ApproxEngine, PartialEstimate, TieredResult};
+use kspr_approx::{arrangement_cost, pool_estimates, ApproxEngine, PartialEstimate};
 use kspr_durable::SlotState;
-use kspr_spatial::{AggregateRTree, Record};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// How the initial dataset is partitioned across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardStrategy {
-    /// Record `i` goes to shard `i % S`.  Spreads any data distribution
-    /// evenly, so shard bands stay balanced.
-    #[default]
-    RoundRobin,
-    /// Records are split along the STR tile order of a bulk-loaded R-tree
-    /// ([`AggregateRTree::partition_subtrees`]): each shard holds a
-    /// spatially contiguous slab of the dataset.
-    Subtrees,
-}
+/// Upper bound on the number of merged candidate engines cached at once (one
+/// per distinct client `k` between updates).  `k` is client-supplied, so
+/// without a cap a stream cycling `k` values would retain one full candidate
+/// engine (dataset + R-tree + prep cache) per distinct `k`.
+const MERGED_CACHE_CAP: usize = 8;
 
 /// One engine shard: the engine itself (lazily created — a shard that has
 /// never held a record has none) and the local-to-global id mapping.
@@ -100,19 +92,16 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Partitions `raw` into [`KsprConfig::shards`] shards with the default
-    /// strategy and builds one engine per (non-empty) shard.
+    /// Partitions `raw` round-robin into [`KsprConfig::shards`] shards
+    /// (record `i` goes to shard `i % S`, which keeps shard bands balanced
+    /// under any data distribution) and builds one engine per (non-empty)
+    /// shard.
     ///
     /// # Panics
     /// Panics if `raw` is empty (use [`ShardedEngine::empty`] to start with
     /// no records), if rows have inconsistent arities, or if any value is
     /// non-finite.
     pub fn new(raw: Vec<Vec<f64>>, config: KsprConfig) -> Self {
-        Self::with_strategy(raw, config, ShardStrategy::default())
-    }
-
-    /// Like [`ShardedEngine::new`] with an explicit partitioning strategy.
-    pub fn with_strategy(raw: Vec<Vec<f64>>, config: KsprConfig, strategy: ShardStrategy) -> Self {
         assert!(
             !raw.is_empty(),
             "cannot partition an empty dataset; use ShardedEngine::empty"
@@ -125,19 +114,10 @@ impl ShardedEngine {
         assert!(s >= 1, "at least one shard is required");
 
         // Global id -> shard assignment.
-        let groups: Vec<Vec<RecordId>> = match strategy {
-            ShardStrategy::RoundRobin => {
-                let mut groups = vec![Vec::new(); s];
-                for (i, group) in (0..raw.len()).map(|i| (i, i % s)) {
-                    groups[group].push(i);
-                }
-                groups
-            }
-            ShardStrategy::Subtrees => {
-                let records = Record::from_raw(raw.clone());
-                AggregateRTree::bulk_load(records, config.rtree_fanout).partition_subtrees(s)
-            }
-        };
+        let mut groups: Vec<Vec<RecordId>> = vec![Vec::new(); s];
+        for i in 0..raw.len() {
+            groups[i % s].push(i);
+        }
 
         let mut locs = vec![(usize::MAX, usize::MAX); raw.len()];
         let mut shards = Vec::with_capacity(s);
@@ -715,40 +695,6 @@ impl ShardedEngine {
         arrangement_cost(candidates, work_dim)
     }
 
-    /// True iff an `Auto`-tier query at rank threshold `k` runs on the exact
-    /// engine under `cost_threshold` (see [`QueryTier::Auto`]).
-    pub fn auto_routes_exact(&self, k: usize, cost_threshold: f64) -> bool {
-        self.estimated_cost(k) <= cost_threshold
-    }
-
-    /// Answers a batch through an explicit [`QueryTier`]: `Exact` is a pure
-    /// passthrough to [`ShardedEngine::run_batch`], `Approximate` samples to
-    /// the budget ([`ShardedEngine::run_approx_batch`]), and `Auto` routes
-    /// the whole batch by [`ShardedEngine::auto_routes_exact`] (the decision
-    /// is focal-independent).  `seed` drives the sampler only.
-    pub fn run_tiered_batch(
-        &self,
-        algorithm: Algorithm,
-        focals: &[Vec<f64>],
-        k: usize,
-        tier: QueryTier,
-        seed: u64,
-    ) -> Vec<TieredResult> {
-        let budget = tier.resolve(|| self.estimated_cost(k));
-        match budget {
-            None => self
-                .run_batch(algorithm, focals, k)
-                .into_iter()
-                .map(TieredResult::Exact)
-                .collect(),
-            Some(budget) => self
-                .run_approx_batch(focals, k, &budget, seed)
-                .into_iter()
-                .map(TieredResult::Approximate)
-                .collect(),
-        }
-    }
-
     /// The pass-through engine of the `shards = 1` configuration, if any.
     fn single_shard_engine(&self) -> Option<&QueryEngine> {
         match &self.shards[..] {
@@ -762,9 +708,7 @@ impl ShardedEngine {
     fn no_competitor_result(&self, focal: &[f64]) -> KsprResult {
         let space = PreferenceSpace::new(focal.len(), self.config.space);
         let mut result = KsprResult::whole_space(space, 1, QueryStats::new());
-        if self.config.finalize {
-            result.finalize();
-        }
+        result.finalize();
         result
     }
 
@@ -839,11 +783,10 @@ impl ShardedEngine {
         members.sort_by_key(|&(global, _)| global);
         let raw: Vec<Vec<f64>> = members.into_iter().map(|(_, values)| values).collect();
         let engine = Arc::new(QueryEngine::new(&Dataset::new(raw), self.config.clone()));
-        if cache.engines.len() >= self.config.merged_cache_cap {
+        if cache.engines.len() >= MERGED_CACHE_CAP {
             // Evict only the largest cached k — it holds the biggest
             // candidate set — and keep the other hot entries warm (a full
-            // clear would force every k to rebuild on its next query).  The
-            // cap is [`KsprConfig::merged_cache_cap`].
+            // clear would force every k to rebuild on its next query).
             if let Some(&evict) = cache.engines.keys().max() {
                 cache.engines.remove(&evict);
             }
@@ -895,7 +838,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_single_engine_for_both_strategies() {
+    fn sharded_matches_single_engine() {
         let raw = random_raw(120, 3, 5);
         let k = 3;
         let single = QueryEngine::new(&Dataset::new(raw.clone()), KsprConfig::default());
@@ -905,24 +848,19 @@ mod tests {
             vec![0.95, 0.95, 0.95],
             vec![0.02, 0.02, 0.02],
         ];
-        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::Subtrees] {
-            for shards in [2, 3, 4] {
-                let sharded = ShardedEngine::with_strategy(
-                    raw.clone(),
-                    KsprConfig::default().with_shards(shards),
-                    strategy,
-                );
-                for alg in [
-                    Algorithm::Cta,
-                    Algorithm::Pcta,
-                    Algorithm::LpCta,
-                    Algorithm::KSkyband,
-                ] {
-                    let batch = sharded.run_batch(alg, &focals, k);
-                    for (focal, got) in focals.iter().zip(&batch) {
-                        let want = single.run(alg, focal, k);
-                        assert_equivalent(got, &want, &format!("{strategy:?} S={shards} {alg:?}"));
-                    }
+        for shards in [2, 3, 4] {
+            let sharded =
+                ShardedEngine::new(raw.clone(), KsprConfig::default().with_shards(shards));
+            for alg in [
+                Algorithm::Cta,
+                Algorithm::Pcta,
+                Algorithm::LpCta,
+                Algorithm::KSkyband,
+            ] {
+                let batch = sharded.run_batch(alg, &focals, k);
+                for (focal, got) in focals.iter().zip(&batch) {
+                    let want = single.run(alg, focal, k);
+                    assert_equivalent(got, &want, &format!("S={shards} {alg:?}"));
                 }
             }
         }
@@ -944,6 +882,8 @@ mod tests {
         // backbone: every global band member is in its shard's band).
         let single = QueryEngine::new(&Dataset::new(raw), KsprConfig::default());
         assert!(candidates >= single.shared_prep_for(k).skyband().len());
+        // The Auto-tier cost estimate grows with the candidate union.
+        assert!(sharded.estimated_cost(2) <= sharded.estimated_cost(8));
     }
 
     #[test]
@@ -970,14 +910,13 @@ mod tests {
             "k' <= k must reuse the cached engine, not build new ones"
         );
         // A sweep over many distinct (ascending) k values stays bounded by
-        // the configured cap.  Queries through merged_candidates only
-        // exercise the cache, not a full query, which keeps this cheap.
-        let cap = sharded.config().merged_cache_cap;
-        for k in 5..=(2 * cap) {
+        // the cap.  Queries through merged_candidates only exercise the
+        // cache, not a full query, which keeps this cheap.
+        for k in 5..=(2 * MERGED_CACHE_CAP) {
             let _ = sharded.merged_candidates(k);
         }
         assert!(
-            sharded.merged.lock().unwrap().engines.len() <= cap,
+            sharded.merged.lock().unwrap().engines.len() <= MERGED_CACHE_CAP,
             "client-supplied k must not grow the merged cache without bound"
         );
     }
@@ -997,28 +936,29 @@ mod tests {
     }
 
     #[test]
-    fn merged_cache_cap_is_configurable_and_evicts_largest_first() {
+    fn merged_cache_evicts_largest_first() {
         let raw = random_raw(80, 3, 19);
-        let sharded = ShardedEngine::new(
-            raw,
-            KsprConfig::default()
-                .with_shards(3)
-                .with_merged_cache_cap(3),
-        );
-        for k in [2, 3, 4] {
+        let sharded = ShardedEngine::new(raw, KsprConfig::default().with_shards(3));
+        let full: Vec<usize> = (1..=MERGED_CACHE_CAP).collect();
+        for &k in &full {
             let _ = sharded.merged_candidates(k);
         }
-        assert_eq!(cached_ks(&sharded), vec![2, 3, 4]);
-        // A fourth distinct k evicts the largest cached k (the biggest
+        assert_eq!(cached_ks(&sharded), full);
+        // A ninth distinct k evicts the largest cached k (the biggest
         // candidate set), never the small hot entries.
-        let _ = sharded.merged_candidates(5);
-        assert_eq!(cached_ks(&sharded), vec![2, 3, 5], "k=4 must be evicted");
-        let _ = sharded.merged_candidates(10);
-        assert_eq!(cached_ks(&sharded), vec![2, 3, 10], "k=5 must be evicted");
+        let next = MERGED_CACHE_CAP + 1;
+        let _ = sharded.merged_candidates(next);
+        let mut want = full[..MERGED_CACHE_CAP - 1].to_vec();
+        want.push(next);
+        assert_eq!(
+            cached_ks(&sharded),
+            want,
+            "k={MERGED_CACHE_CAP} must be evicted"
+        );
         // A k below a cached larger k reuses the superset engine: no build,
         // no eviction.
-        let _ = sharded.merged_candidates(4);
-        assert_eq!(cached_ks(&sharded), vec![2, 3, 10]);
+        let _ = sharded.merged_candidates(MERGED_CACHE_CAP);
+        assert_eq!(cached_ks(&sharded), want);
     }
 
     #[test]
@@ -1184,51 +1124,6 @@ mod tests {
                 (n as f64 - expected).abs() <= allocation.len() as f64,
                 "shard {shard}: allocated {n}, proportional share {expected}"
             );
-        }
-    }
-
-    #[test]
-    fn tiered_batch_routes_per_tier() {
-        use kspr::{ErrorBudget, QueryTier};
-        let raw = random_raw(120, 3, 61);
-        let sharded = ShardedEngine::new(raw.clone(), KsprConfig::default().with_shards(2));
-        let focals = vec![raw[5].clone()];
-        let k = 3;
-        let budget = ErrorBudget::new(0.1, 0.9);
-
-        let exact = sharded.run_tiered_batch(Algorithm::LpCta, &focals, k, QueryTier::Exact, 1);
-        assert!(exact[0].is_exact());
-        assert_eq!(
-            exact[0].as_exact().unwrap().num_regions(),
-            sharded.run(Algorithm::LpCta, &focals[0], k).num_regions()
-        );
-
-        let approx = sharded.run_tiered_batch(
-            Algorithm::LpCta,
-            &focals,
-            k,
-            QueryTier::approximate(budget),
-            1,
-        );
-        assert!(!approx[0].is_exact());
-
-        // Auto: extreme thresholds force each side, and the cost estimate
-        // grows with k.
-        assert!(sharded.auto_routes_exact(k, f64::INFINITY));
-        assert!(!sharded.auto_routes_exact(k, 0.0));
-        assert!(sharded.estimated_cost(2) <= sharded.estimated_cost(8));
-        for (threshold, expect_exact) in [(f64::INFINITY, true), (0.0, false)] {
-            let routed = sharded.run_tiered_batch(
-                Algorithm::LpCta,
-                &focals,
-                k,
-                QueryTier::Auto {
-                    budget,
-                    cost_threshold: threshold,
-                },
-                1,
-            );
-            assert_eq!(routed[0].is_exact(), expect_exact);
         }
     }
 

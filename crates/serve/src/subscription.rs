@@ -31,18 +31,44 @@ pub(crate) struct ApproxStanding {
     pub(crate) k: usize,
     pub(crate) budget: ErrorBudget,
     pub(crate) estimate: ApproxImpact,
-    pub(crate) deltas: mpsc::Sender<ApproxDelta>,
+    pub(crate) deltas: Arc<DeltaQueue<ApproxDelta>>,
 }
 
-/// Upper bound on the [`ResultDelta`]s a single [`Subscription`] may hold
-/// pending.  A subscriber that stops draining its notifications would
-/// otherwise grow dispatcher memory without bound (the monitor keeps
-/// emitting deltas for every update); past this bound newer deltas are
-/// **coalesced** into the newest pending one instead of enqueued — deltas
-/// chain (`after` of one is `before` of the next), so merging keeps the
-/// oldest `before` and newest `after` state and loses nothing but the
-/// intermediate steps.
+/// Upper bound on the deltas a single [`Subscription`] or
+/// [`ApproxSubscription`] may hold pending.  A subscriber that stops
+/// draining its notifications would otherwise grow dispatcher memory without
+/// bound (the dispatcher keeps emitting deltas for every update batch); past
+/// this bound newer deltas are **coalesced** into the newest pending one
+/// instead of enqueued — deltas chain (`after` of one is `before` of the
+/// next), so merging keeps the oldest `before` and newest `after` state and
+/// loses nothing but the intermediate steps.
 pub const MAX_PENDING_DELTAS: usize = 64;
+
+/// A notification a [`DeltaQueue`] can merge into its predecessor once the
+/// subscriber has fallen [`MAX_PENDING_DELTAS`] behind.
+pub(crate) trait Coalesce {
+    /// Absorbs `newer`, the next delta of the same standing query: keeps
+    /// `self`'s (oldest) `before` state and takes `newer`'s `after` state.
+    fn coalesce(&mut self, newer: Self);
+}
+
+impl Coalesce for ResultDelta {
+    fn coalesce(&mut self, newer: Self) {
+        // A re-run anywhere in the merged span means the surviving state
+        // was obtained through a re-run.
+        if newer.class == UpdateClass::Rerun {
+            self.class = UpdateClass::Rerun;
+        }
+        self.regions_after = newer.regions_after;
+        self.ranks_after = newer.ranks_after;
+    }
+}
+
+impl Coalesce for ApproxDelta {
+    fn coalesce(&mut self, newer: Self) {
+        self.after = newer.after;
+    }
+}
 
 /// Outcome of a [`DeltaQueue::push`].
 pub(crate) enum DeltaPush {
@@ -57,44 +83,43 @@ pub(crate) enum DeltaPush {
 }
 
 /// The per-subscription notification queue: a bounded, coalescing channel
-/// between the dispatcher (producer) and a [`Subscription`] (consumer).
-pub(crate) struct DeltaQueue {
-    state: Mutex<DeltaQueueState>,
+/// between the dispatcher (producer) and a [`Subscription`] or
+/// [`ApproxSubscription`] (consumer).
+pub(crate) struct DeltaQueue<D> {
+    state: Mutex<DeltaQueueState<D>>,
     ready: Condvar,
 }
 
-#[derive(Default)]
-struct DeltaQueueState {
-    pending: VecDeque<ResultDelta>,
+struct DeltaQueueState<D> {
+    pending: VecDeque<D>,
     closed: bool,
 }
 
-impl DeltaQueue {
+impl<D: Coalesce> DeltaQueue<D> {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
-            state: Mutex::new(DeltaQueueState::default()),
+            state: Mutex::new(DeltaQueueState {
+                pending: VecDeque::new(),
+                closed: false,
+            }),
             ready: Condvar::new(),
         })
     }
 
     /// Enqueues a delta, coalescing it into the newest pending one when the
     /// subscriber has fallen [`MAX_PENDING_DELTAS`] behind.
-    pub(crate) fn push(&self, delta: ResultDelta) -> DeltaPush {
+    pub(crate) fn push(&self, delta: D) -> DeltaPush {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.closed {
             return DeltaPush::Closed;
         }
         let outcome = if state.pending.len() >= MAX_PENDING_DELTAS {
-            let tail = state.pending.back_mut().expect("the cap is at least 1");
-            // Consecutive deltas of one query chain exactly: keep the
-            // tail's (oldest) `before` state, take the newcomer's (newest)
-            // `after` state.  A re-run anywhere in the merged span means
-            // the surviving state was obtained through a re-run.
-            if delta.class == UpdateClass::Rerun {
-                tail.class = UpdateClass::Rerun;
-            }
-            tail.regions_after = delta.regions_after;
-            tail.ranks_after = delta.ranks_after;
+            // Consecutive deltas of one query chain exactly.
+            state
+                .pending
+                .back_mut()
+                .expect("the cap is at least 1")
+                .coalesce(delta);
             DeltaPush::Coalesced
         } else {
             state.pending.push_back(delta);
@@ -115,7 +140,7 @@ impl DeltaQueue {
     }
 
     /// Non-blocking pop.
-    pub(crate) fn try_pop(&self) -> Option<ResultDelta> {
+    pub(crate) fn try_pop(&self) -> Option<D> {
         self.state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -124,7 +149,7 @@ impl DeltaQueue {
     }
 
     /// Blocks until a delta is pending (or the queue closes: `None`).
-    pub(crate) fn pop(&self) -> Option<ResultDelta> {
+    pub(crate) fn pop(&self) -> Option<D> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(delta) = state.pending.pop_front() {
@@ -145,7 +170,7 @@ impl DeltaQueue {
 /// (and initially answered) the standing query.
 pub struct SubscribeTicket {
     pub(crate) rx: mpsc::Receiver<Result<(QueryId, KsprResult), ServeError>>,
-    pub(crate) deltas: Arc<DeltaQueue>,
+    pub(crate) deltas: Arc<DeltaQueue<ResultDelta>>,
     pub(crate) control: mpsc::Sender<Msg>,
 }
 
@@ -179,7 +204,7 @@ impl SubscribeTicket {
 pub struct Subscription {
     id: QueryId,
     initial: KsprResult,
-    deltas: Arc<DeltaQueue>,
+    deltas: Arc<DeltaQueue<ResultDelta>>,
     control: mpsc::Sender<Msg>,
 }
 
@@ -239,7 +264,7 @@ impl Drop for Subscription {
 /// registered (and initially estimated) the approximate standing query.
 pub struct ApproxSubscribeTicket {
     pub(crate) rx: mpsc::Receiver<Result<(ApproxWatchId, ApproxImpact), ServeError>>,
-    pub(crate) deltas: mpsc::Receiver<ApproxDelta>,
+    pub(crate) deltas: Arc<DeltaQueue<ApproxDelta>>,
     pub(crate) control: mpsc::Sender<Msg>,
 }
 
@@ -260,14 +285,19 @@ impl ApproxSubscribeTicket {
 }
 
 /// A live approximate standing query: holds the initial estimate and
-/// receives an [`ApproxDelta`] whenever an update forced a re-draw.
+/// receives an [`ApproxDelta`] for every update batch that forced a
+/// re-draw.
+///
+/// At most [`MAX_PENDING_DELTAS`] notifications are held pending; a slower
+/// consumer's oldest backlog steps are merged together, as for
+/// [`Subscription`].
 ///
 /// Dropping the subscription unregisters the standing query with the
 /// dispatcher, freeing its maintenance state.
 pub struct ApproxSubscription {
     id: ApproxWatchId,
     initial: ApproxImpact,
-    deltas: mpsc::Receiver<ApproxDelta>,
+    deltas: Arc<DeltaQueue<ApproxDelta>>,
     control: mpsc::Sender<Msg>,
 }
 
@@ -295,7 +325,7 @@ impl ApproxSubscription {
     /// Drains every notification delivered so far without blocking.
     pub fn poll(&self) -> Vec<ApproxDelta> {
         let mut out = Vec::new();
-        while let Ok(delta) = self.deltas.try_recv() {
+        while let Some(delta) = self.deltas.try_pop() {
             out.push(delta);
         }
         out
@@ -306,7 +336,7 @@ impl ApproxSubscription {
     /// maintenance pass invalidated the approximate registry — re-subscribe
     /// to resume watching).
     pub fn recv(&self) -> Option<ApproxDelta> {
-        self.deltas.recv().ok()
+        self.deltas.pop()
     }
 }
 
@@ -389,6 +419,49 @@ mod tests {
             queue.push(delta(1, UpdateClass::Patched)),
             DeltaPush::Closed
         ));
+        assert!(queue.pop().is_some(), "drained before the closed marker");
+        assert!(queue.pop().is_none());
+    }
+
+    #[test]
+    fn approx_delta_queue_caps_and_coalesces_slow_consumers() {
+        let queue = DeltaQueue::new();
+        // `samples` tags each estimate so the merged chain is checkable.
+        let estimate = |tag: usize| ApproxImpact {
+            impact: 0.5,
+            half_width: 0.05,
+            samples: tag,
+        };
+        let delta = |i: usize| ApproxDelta {
+            query: 3,
+            before: estimate(i),
+            after: estimate(i + 1),
+        };
+        for i in 0..MAX_PENDING_DELTAS {
+            assert!(matches!(queue.push(delta(i)), DeltaPush::Queued));
+        }
+        // At the cap, further deltas merge into the newest pending one.
+        for i in MAX_PENDING_DELTAS..MAX_PENDING_DELTAS + 2 {
+            assert!(matches!(queue.push(delta(i)), DeltaPush::Coalesced));
+        }
+        let mut drained = Vec::new();
+        while let Some(d) = queue.try_pop() {
+            drained.push(d);
+        }
+        assert_eq!(drained.len(), MAX_PENDING_DELTAS, "the cap held");
+        let tail = drained.last().expect("cap is at least 1");
+        assert_eq!(tail.before.samples, MAX_PENDING_DELTAS - 1, "oldest before");
+        assert_eq!(tail.after.samples, MAX_PENDING_DELTAS + 2, "newest after");
+        assert_eq!(
+            drained[drained.len() - 2].after.samples,
+            tail.before.samples,
+            "the chain is intact"
+        );
+        // Closing keeps pending deltas drainable, drops later pushes, and
+        // unblocks `pop`.
+        assert!(matches!(queue.push(delta(0)), DeltaPush::Queued));
+        queue.close();
+        assert!(matches!(queue.push(delta(1)), DeltaPush::Closed));
         assert!(queue.pop().is_some(), "drained before the closed marker");
         assert!(queue.pop().is_none());
     }

@@ -242,49 +242,6 @@ impl AggregateRTree {
         &self.io
     }
 
-    /// Partitions the live records into `groups` spatially coherent groups.
-    ///
-    /// Leaves are visited in tree order — for an STR bulk-loaded tree this is
-    /// the tile order, so consecutive leaves are spatially adjacent — and the
-    /// resulting record sequence is cut into `groups` contiguous runs whose
-    /// sizes differ by at most one.  Every live record lands in exactly one
-    /// group; tombstoned slots are skipped.  Trailing groups may be empty
-    /// when `groups` exceeds the number of live records.
-    ///
-    /// This is the dataset-partitioning helper of the sharded serving
-    /// front-end (`kspr-serve`): each group becomes one engine shard with its
-    /// own R-tree.
-    ///
-    /// # Panics
-    /// Panics if `groups == 0`.
-    pub fn partition_subtrees(&self, groups: usize) -> Vec<Vec<RecordId>> {
-        assert!(groups >= 1, "at least one group is required");
-        let mut ordered: Vec<RecordId> = Vec::with_capacity(self.live_count);
-        let mut stack = vec![self.root];
-        while let Some(idx) = stack.pop() {
-            match &self.nodes[idx].entries {
-                NodeEntries::Leaf(ids) => {
-                    ordered.extend(ids.iter().copied().filter(|&id| self.is_live(id)));
-                }
-                NodeEntries::Internal(children) => {
-                    // Reverse so the leftmost child is processed first.
-                    stack.extend(children.iter().rev().copied());
-                }
-            }
-        }
-        let total = ordered.len();
-        let base = total / groups;
-        let extra = total % groups;
-        let mut out = Vec::with_capacity(groups);
-        let mut start = 0;
-        for g in 0..groups {
-            let size = base + usize::from(g < extra);
-            out.push(ordered[start..start + size].to_vec());
-            start += size;
-        }
-        out
-    }
-
     /// Height of the tree (1 for a single leaf).
     pub fn height(&self) -> usize {
         let mut h = 1;
@@ -990,33 +947,6 @@ mod tests {
         assert_eq!(tree.height(), 1);
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.node_no_io(tree.root()).count, 1);
-    }
-
-    #[test]
-    fn partition_subtrees_covers_live_records_evenly() {
-        let records = random_records(203, 3, 7);
-        let mut tree = AggregateRTree::bulk_load(records, 8);
-        for groups in [1, 2, 4, 7] {
-            let parts = tree.partition_subtrees(groups);
-            assert_eq!(parts.len(), groups);
-            let mut all: Vec<RecordId> = parts.iter().flatten().copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..203).collect::<Vec<_>>(), "disjoint cover");
-            let max = parts.iter().map(Vec::len).max().unwrap();
-            let min = parts.iter().map(Vec::len).min().unwrap();
-            assert!(max - min <= 1, "groups must be balanced, got {min}..{max}");
-        }
-        // Tombstoned slots are skipped.
-        assert!(tree.delete(5));
-        assert!(tree.delete(100));
-        let parts = tree.partition_subtrees(3);
-        let all: Vec<RecordId> = parts.iter().flatten().copied().collect();
-        assert_eq!(all.len(), 201);
-        assert!(!all.contains(&5) && !all.contains(&100));
-        // More groups than records: trailing groups are empty.
-        let small = AggregateRTree::from_records(vec![Record::new(0, vec![0.5, 0.5])]);
-        let parts = small.partition_subtrees(4);
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1);
     }
 
     #[test]
