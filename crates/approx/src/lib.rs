@@ -99,14 +99,6 @@ pub enum TieredResult {
 }
 
 impl TieredResult {
-    /// The exact result, if this query ran exactly.
-    pub fn as_exact(&self) -> Option<&KsprResult> {
-        match self {
-            TieredResult::Exact(result) => Some(result),
-            TieredResult::Approximate(_) => None,
-        }
-    }
-
     /// The estimate, if this query ran approximately.
     pub fn as_approximate(&self) -> Option<&ApproxImpact> {
         match self {

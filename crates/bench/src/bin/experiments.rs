@@ -26,7 +26,7 @@
 //!   and the `/trace` chrome-trace export), or `all`.  The `approx`,
 //!   `batch`, `monitor`, `parallel`, `recovery`, `serve`, `telemetry`,
 //!   `trace`, and `update` experiments each update their own section of
-//!   `BENCH_perf.json`.
+//!   `BENCH_perf.json`, and exit with status 1 when that write fails.
 //! * `[scale]` is `quick` (default) or `full`; the parameter values for each
 //!   scale are documented in `EXPERIMENTS.md`.
 //! * `parallel` accepts an optional third argument: a comma-separated
@@ -867,10 +867,7 @@ fn batch(scale: Scale) {
     }
     body.push_str("    }\n  }");
     println!("expected shape: speedup approaches the core count for CPU-bound workloads");
-    match write_bench_perf_section("batch", &body) {
-        Ok(path) => eprintln!("[batch] wrote {path}"),
-        Err(err) => eprintln!("[batch] could not write BENCH_perf.json: {err}"),
-    }
+    emit("batch", &body);
 }
 
 fn update(scale: Scale) {
@@ -947,10 +944,7 @@ fn update(scale: Scale) {
         ));
     }
     body.push_str("    }\n  }");
-    match write_bench_perf_section("update", &body) {
-        Ok(path) => eprintln!("[update] wrote {path}"),
-        Err(err) => eprintln!("[update] could not write BENCH_perf.json: {err}"),
-    }
+    emit("update", &body);
     println!(
         "expected shape: incremental maintenance is O(log n + band) per insert / non-band delete \
          (a band-member delete adds one targeted O(n) promotion scan) vs O(n log n + n k) per \
@@ -1115,7 +1109,7 @@ fn serve(scale: Scale) {
          per-shard k-skybands — >= 1.5x at 4 shards on the steady-state batch workload; \
          competitive queries are arrangement-bound, so their gain is small"
     );
-    match write_bench_perf_serve(
+    write_bench_perf_serve(
         scale,
         n,
         p.d_default,
@@ -1124,10 +1118,7 @@ fn serve(scale: Scale) {
         burst,
         degraded_stats.degraded_to_approx,
         shed_stats.rejections.overloaded,
-    ) {
-        Ok(path) => eprintln!("[serve] wrote {path}"),
-        Err(err) => eprintln!("[serve] could not write BENCH_perf.json: {err}"),
-    }
+    );
 }
 
 /// Emits the `serve` experiment's front-end sweep into the `"serve"` section
@@ -1143,7 +1134,7 @@ fn write_bench_perf_serve(
     burst: usize,
     degraded: u64,
     shed: u64,
-) -> std::io::Result<String> {
+) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
@@ -1168,7 +1159,7 @@ fn write_bench_perf_serve(
          \"rejected_overloaded\": {shed}}}\n"
     ));
     out.push_str("  }");
-    write_bench_perf_section("serve", &out)
+    emit("serve", &out);
 }
 
 /// The `recovery` experiment: what durability costs while serving (WAL
@@ -1294,7 +1285,7 @@ fn recovery(scale: Scale) {
          write+fsync per update batch); recovery is replay-bound, linear in the WAL tail"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    match write_bench_perf_recovery(
+    write_bench_perf_recovery(
         scale,
         n,
         p.d_default,
@@ -1305,10 +1296,7 @@ fn recovery(scale: Scale) {
         wal_bytes,
         standing,
         recover_secs,
-    ) {
-        Ok(path) => eprintln!("[recovery] wrote {path}"),
-        Err(err) => eprintln!("[recovery] could not write BENCH_perf.json: {err}"),
-    }
+    );
 }
 
 /// Emits the `recovery` experiment's measurements into the `"recovery"`
@@ -1325,7 +1313,7 @@ fn write_bench_perf_recovery(
     wal_bytes: u64,
     standing: usize,
     recover_secs: f64,
-) -> std::io::Result<String> {
+) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
@@ -1345,7 +1333,7 @@ fn write_bench_perf_recovery(
         "    \"standing_reregistered\": {standing},\n    \"recover_secs\": {recover_secs:.6}\n"
     ));
     out.push_str("  }");
-    write_bench_perf_section("recovery", &out)
+    emit("recovery", &out);
 }
 
 /// Beyond the paper: the observability pipeline itself.  Drives a mixed
@@ -1488,10 +1476,7 @@ fn telemetry(scale: Scale) {
         "expected shape: engine time dominates the exact queries; queue wait grows with \
          interleaved updates; WAL commits are fsync-bound"
     );
-    match write_bench_perf_section("telemetry", &body) {
-        Ok(path) => eprintln!("[telemetry] wrote {path}"),
-        Err(err) => eprintln!("[telemetry] could not write BENCH_perf.json: {err}"),
-    }
+    emit("telemetry", &body);
 }
 
 /// Beyond the paper: end-to-end span tracing over the wire.  Sends traced
@@ -1654,10 +1639,7 @@ fn trace(scale: Scale) {
         "expected shape: expansion (with its LP solves) dominates prep for competitive \
          focals; the export stays linear in the retained span count"
     );
-    match write_bench_perf_section("trace", &body) {
-        Ok(path) => eprintln!("[trace] wrote {path}"),
-        Err(err) => eprintln!("[trace] could not write BENCH_perf.json: {err}"),
-    }
+    emit("trace", &body);
 }
 
 /// Prints the live/tombstone slot accounting of a long-running engine.
@@ -1766,7 +1748,8 @@ fn monitor(scale: Scale) {
     println!(
         "Registry scaling: indexed + batched maintenance vs full-scan per update \
          (batch window {}, {} update rounds)",
-        config.monitor_batch_window, sweep_rounds
+        kspr_serve::MAINTENANCE_WINDOW,
+        sweep_rounds
     );
     println!(
         "{:<10} {:>8} {:>17} {:>19} {:>9} {:>15} {:>15}",
@@ -1800,17 +1783,7 @@ fn monitor(scale: Scale) {
          registry), so the gap widens ~10x per decade; >= 10x at 10^4 is the \
          kspr-bench lib gate"
     );
-    match write_bench_perf_monitor(
-        scale,
-        n,
-        p.d_default,
-        max_k,
-        config.monitor_batch_window,
-        &points,
-    ) {
-        Ok(path) => println!("wrote {path} (monitor section)"),
-        Err(err) => eprintln!("could not write BENCH_perf.json: {err}"),
-    }
+    write_bench_perf_monitor(scale, n, p.d_default, max_k, &points);
 
     // The serving front-end: subscriptions streaming result deltas through
     // the dispatcher while updates flow, serialized with the update stream.
@@ -1951,10 +1924,7 @@ fn approx(scale: Scale) {
         ));
     }
     body.push_str("    }\n  }");
-    match write_bench_perf_section("approx", &body) {
-        Ok(path) => eprintln!("[approx] wrote {path}"),
-        Err(err) => eprintln!("[approx] could not write BENCH_perf.json: {err}"),
-    }
+    emit("approx", &body);
 
     // Auto routing: the arrangement-cost estimate (band^work_dim) against
     // the default threshold, across (k, d).  Small k / low d stay exact;
@@ -2108,10 +2078,7 @@ fn parallel(scale: Scale, workers: Option<&str>) {
          reach the CellTree.  Results are asserted bit-identical across worker counts."
     );
 
-    match write_bench_perf(scale, cores, n, p.d_default, k, &sweeps) {
-        Ok(path) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write BENCH_perf.json: {err}"),
-    }
+    write_bench_perf(scale, cores, n, p.d_default, k, &sweeps);
 }
 
 fn scale_label(scale: Scale) -> &'static str {
@@ -2134,7 +2101,7 @@ fn write_bench_perf(
     d: usize,
     k: usize,
     sweeps: &[(&str, kspr_bench::ParallelScaling)],
-) -> std::io::Result<String> {
+) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
@@ -2169,7 +2136,7 @@ fn write_bench_perf(
         ));
     }
     out.push_str("    ]\n  }");
-    write_bench_perf_section("parallel", &out)
+    emit("parallel", &out);
 }
 
 /// Emits the `monitor` experiment's registry-scaling sweep into the
@@ -2179,16 +2146,18 @@ fn write_bench_perf_monitor(
     n: usize,
     d: usize,
     max_k: usize,
-    batch_window: usize,
     points: &[kspr_bench::RegistryScalingPoint],
-) -> std::io::Result<String> {
+) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
     out.push_str(&format!(
         "    \"n\": {n},\n    \"d\": {d},\n    \"max_k\": {max_k},\n"
     ));
-    out.push_str(&format!("    \"batch_window\": {batch_window},\n"));
+    out.push_str(&format!(
+        "    \"batch_window\": {},\n",
+        kspr_serve::MAINTENANCE_WINDOW
+    ));
     out.push_str("    \"algorithms\": [\"LPCTA\", \"PCTA\", \"CTA\", \"KSKYBAND\"],\n");
     out.push_str(
         "    \"baseline\": \"full-scan registry classified after every single update\",\n",
@@ -2211,35 +2180,22 @@ fn write_bench_perf_monitor(
         ));
     }
     out.push_str("    ]\n  }");
-    write_bench_perf_section("monitor", &out)
+    emit("monitor", &out);
 }
 
-/// Writes one experiment's section into `BENCH_perf.json`, keeping every
-/// other top-level section already in the file, so the sectioned
-/// experiments compose regardless of order.  `body` is the section's
-/// rendered JSON object; the file is parsed and re-rendered whole, sections
-/// sorted by name.
-fn write_bench_perf_section(section: &str, body: &str) -> std::io::Result<String> {
-    use kspr_telemetry::{parse_json, write_json_into, JsonValue};
-    let invalid = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-    let path = "BENCH_perf.json";
-    let fresh = parse_json(body).ok_or_else(|| invalid("the section body is not valid JSON"))?;
-    let mut sections = match std::fs::read_to_string(path) {
-        Ok(text) => match parse_json(&text) {
-            Some(JsonValue::Object(sections)) => sections,
-            _ => return Err(invalid("BENCH_perf.json is not a JSON object")),
-        },
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(err) => return Err(err),
-    };
-    sections.retain(|(name, _)| name != section);
-    sections.push((section.to_string(), fresh));
-    sections.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::new();
-    write_json_into(&JsonValue::Object(sections), &mut out);
-    out.push('\n');
-    std::fs::write(path, out)?;
-    Ok(path.to_string())
+/// Writes one experiment's section into `BENCH_perf.json` in the working
+/// directory (the repo root when run via `cargo run`) and exits non-zero
+/// when that fails, so a stale committed section never passes for a fresh
+/// one.
+fn emit(section: &str, body: &str) {
+    let path = std::path::Path::new("BENCH_perf.json");
+    match kspr_bench::write_bench_perf_section(path, section, body) {
+        Ok(()) => eprintln!("[{section}] wrote {}", path.display()),
+        Err(err) => {
+            eprintln!("[{section}] could not write {}: {err}", path.display());
+            std::process::exit(1);
+        }
+    }
 }
 
 fn fig24(scale: Scale) {

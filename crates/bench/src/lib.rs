@@ -34,6 +34,7 @@ use kspr::{Algorithm, Dataset, KsprConfig, KsprResult, QueryEngine};
 use kspr_datagen::Distribution;
 use kspr_serve::ShardedEngine;
 use kspr_spatial::{k_skyband, Record};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// A ready-to-run benchmark workload: an indexed dataset plus a pool of focal
@@ -655,7 +656,7 @@ impl RegistryScalingPoint {
 /// * **indexed + batched** — [`kspr_monitor::Monitor::new`]: each update
 ///   burst is applied to the engine first, then maintained with a single
 ///   [`kspr_monitor::Monitor::apply_batch`] pass (the serving dispatcher's
-///   drain-the-queue shape, sized by `config.monitor_batch_window`);
+///   drain-the-queue shape, sized by [`kspr_serve::MAINTENANCE_WINDOW`]);
 /// * **full scan** — [`kspr_monitor::Monitor::full_scan`]: classification
 ///   walks every registered query after every single update, interleaved
 ///   with the engine mutations exactly as the pre-index monitor ran.
@@ -705,10 +706,9 @@ pub fn measure_registry_scaling(
         assert_eq!(a, b, "both registries assign the same id sequence");
     }
 
-    let window = config.monitor_batch_window.max(1);
     // Each (insert, delete) pair is two updates, so a burst of
-    // `window / 2` records fills one maintenance batch.
-    let per_burst = (window / 2).max(1);
+    // `MAINTENANCE_WINDOW / 2` records fills one maintenance batch.
+    let per_burst = (kspr_serve::MAINTENANCE_WINDOW / 2).max(1);
     let mut indexed_secs = 0.0f64;
     let mut full_secs = 0.0f64;
     let mut updates_applied = 0usize;
@@ -999,17 +999,36 @@ pub fn measure_parallel_scaling(
     }
 }
 
-/// Runs one query and returns the result together with its wall-clock time.
-pub fn timed_query(
-    algorithm: Algorithm,
-    dataset: &Dataset,
-    focal: &[f64],
-    k: usize,
-    config: &KsprConfig,
-) -> (Duration, KsprResult) {
-    let start = Instant::now();
-    let result = kspr::run(algorithm, dataset, focal, k, config);
-    (start.elapsed(), result)
+/// Writes one experiment's section into the sectioned perf file at `path`
+/// (`BENCH_perf.json`), keeping every other top-level section already in
+/// the file, so the sectioned experiments compose regardless of order.
+/// `body` is the section's rendered JSON object; the file is parsed and
+/// re-rendered whole, sections sorted by name, and created if missing.
+///
+/// # Errors
+/// Fails without touching the file when `body` is not valid JSON (a `NaN`
+/// or `inf` rendered by `{:.6}` is not) or the existing file is not a JSON
+/// object; otherwise passes through I/O errors.
+pub fn write_bench_perf_section(path: &Path, section: &str, body: &str) -> std::io::Result<()> {
+    use kspr_telemetry::{parse_json, write_json_into, JsonValue};
+    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+    let fresh = parse_json(body)
+        .ok_or_else(|| invalid(format!("the {section} section body is not valid JSON")))?;
+    let mut sections = match std::fs::read_to_string(path) {
+        Ok(text) => match parse_json(&text) {
+            Some(JsonValue::Object(sections)) => sections,
+            _ => return Err(invalid(format!("{} is not a JSON object", path.display()))),
+        },
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(err) => return Err(err),
+    };
+    sections.retain(|(name, _)| name != section);
+    sections.push((section.to_string(), fresh));
+    sections.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out = String::new();
+    write_json_into(&JsonValue::Object(sections), &mut out);
+    out.push('\n');
+    std::fs::write(path, out)
 }
 
 /// Pretty-prints a duration in seconds with millisecond resolution.
@@ -1056,6 +1075,61 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fresh, not-yet-existing perf-file path for one test.
+    fn scratch_perf_file(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("kspr-bench-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("BENCH_perf.json")
+    }
+
+    fn section_names(path: &Path) -> Vec<String> {
+        match kspr_telemetry::parse_json(&std::fs::read_to_string(path).unwrap()) {
+            Some(kspr_telemetry::JsonValue::Object(sections)) => {
+                sections.into_iter().map(|(name, _)| name).collect()
+            }
+            other => panic!("not a JSON object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn section_writer_creates_a_missing_file() {
+        let path = scratch_perf_file("create");
+        assert!(!path.exists());
+        write_bench_perf_section(&path, "batch", "{\"speedup\": 1.5}").unwrap();
+        assert_eq!(section_names(&path), ["batch"]);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn section_writer_replaces_by_key_and_keeps_the_rest_sorted() {
+        let path = scratch_perf_file("replace");
+        write_bench_perf_section(&path, "update", "{\"v\": 1}").unwrap();
+        write_bench_perf_section(&path, "approx", "{\"v\": 2}").unwrap();
+        write_bench_perf_section(&path, "monitor", "{\"v\": 3}").unwrap();
+        assert_eq!(section_names(&path), ["approx", "monitor", "update"]);
+        write_bench_perf_section(&path, "monitor", "{\"v\": 4}").unwrap();
+        assert_eq!(section_names(&path), ["approx", "monitor", "update"]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.contains('3'), "the old monitor body is gone: {text}");
+        for v in ['1', '2', '4'] {
+            assert!(text.contains(v), "section value {v} kept: {text}");
+        }
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn section_writer_refuses_a_nan_body_and_leaves_the_file_alone() {
+        let path = scratch_perf_file("nan");
+        write_bench_perf_section(&path, "batch", "{\"speedup\": 1.5}").unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let body = format!("{{\"speedup\": {:.6}}}", f64::NAN);
+        let err = write_bench_perf_section(&path, "batch", &body).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
 
     #[test]
     fn workload_focal_pool_is_nontrivial() {

@@ -801,14 +801,6 @@ impl CellTree {
         out.capacity() != capacity
     }
 
-    /// Allocating convenience wrapper around
-    /// [`CellTree::path_halfspaces_into`].
-    pub fn path_halfspaces(&self, idx: usize) -> Vec<Halfspace> {
-        let mut out = Vec::new();
-        self.path_halfspaces_into(idx, &mut out);
-        out
-    }
-
     /// The full halfspace set of a node — edge labels plus the cover sets of
     /// the node and all its ancestors — collected into a reused buffer.
     /// Every hyperplane inserted while the node was live appears exactly

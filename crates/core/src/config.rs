@@ -52,14 +52,6 @@ pub struct KsprConfig {
     /// its look-ahead bound reporting is schedule-sensitive — regardless of
     /// this knob.
     pub intra_query_threads: usize,
-    /// Maximum number of already-queued updates the serving dispatcher drains
-    /// into one standing-query maintenance batch (`Monitor::apply_batch` in
-    /// `kspr-monitor`).  The dispatcher never *waits* to fill a batch — it
-    /// only coalesces updates that are already in its queue — so `1`
-    /// restores strictly per-update maintenance while larger windows let a
-    /// burst of updates share classification probes and engine re-runs.  The
-    /// plain `QueryEngine` ignores this knob.
-    pub monitor_batch_window: usize,
 }
 
 impl Default for KsprConfig {
@@ -72,7 +64,6 @@ impl Default for KsprConfig {
             shards: 1,
             io_model: None,
             intra_query_threads: 0,
-            monitor_batch_window: 32,
         }
     }
 }
@@ -117,17 +108,6 @@ impl KsprConfig {
         self
     }
 
-    /// Convenience: set the serving dispatcher's standing-query maintenance
-    /// batching window (`1` = strictly per-update maintenance).
-    ///
-    /// # Panics
-    /// Panics if `window == 0`.
-    pub fn with_monitor_batch_window(mut self, window: usize) -> Self {
-        assert!(window >= 1, "the maintenance batch window needs one slot");
-        self.monitor_batch_window = window;
-        self
-    }
-
     /// Resolves [`KsprConfig::intra_query_threads`] to a concrete worker
     /// count for one query, given how many queries are expected to run
     /// concurrently (`run` passes 1, `run_batch` the batch width, the
@@ -161,7 +141,6 @@ mod tests {
             c.intra_query_threads, 0,
             "intra-query workers default to auto"
         );
-        assert_eq!(c.monitor_batch_window, 32);
     }
 
     #[test]
@@ -193,22 +172,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn rejects_zero_shards() {
         let _ = KsprConfig::default().with_shards(0);
-    }
-
-    #[test]
-    fn monitor_batch_window_builder() {
-        assert_eq!(
-            KsprConfig::default()
-                .with_monitor_batch_window(128)
-                .monitor_batch_window,
-            128
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "batch window")]
-    fn rejects_zero_monitor_batch_window() {
-        let _ = KsprConfig::default().with_monitor_batch_window(0);
     }
 
     #[test]

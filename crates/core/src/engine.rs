@@ -713,19 +713,6 @@ impl QueryEngine {
         self.run_shared(algorithm, focal, k, None, 1)
     }
 
-    /// Runs one kSPR query under an explicit expansion policy.
-    pub fn run_with_policy(
-        &self,
-        policy: &dyn ExpansionPolicy,
-        focal: &[f64],
-        k: usize,
-    ) -> KsprResult {
-        let clock = std::time::Instant::now();
-        let mut result = self.run_policy(policy, focal, k, None, 1);
-        result.stats.phases.wall_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        result
-    }
-
     /// Runs the query for every focal record in parallel, sharing the
     /// focal-independent preprocessing (dataset index, k-skyband, dominance
     /// graph) across all of them.
@@ -747,28 +734,6 @@ impl QueryEngine {
         focals
             .par_iter()
             .map(|focal| self.run_shared(algorithm, focal, k, shared.as_deref(), concurrent))
-            .collect()
-    }
-
-    /// Runs the query for every focal record in parallel under an explicit
-    /// expansion policy (the policy analogue of [`QueryEngine::run_batch`]).
-    pub fn run_batch_with_policy(
-        &self,
-        policy: &(dyn ExpansionPolicy + Sync),
-        focals: &[Vec<f64>],
-        k: usize,
-    ) -> Vec<KsprResult> {
-        let shared = policy.uses_shared_prep().then(|| self.shared_prep(k));
-        let concurrent = focals.len().max(1);
-        focals
-            .par_iter()
-            .map(|focal| {
-                let clock = std::time::Instant::now();
-                let mut result = self.run_policy(policy, focal, k, shared.as_deref(), concurrent);
-                result.stats.phases.wall_ns =
-                    u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                result
-            })
             .collect()
     }
 
@@ -1696,26 +1661,5 @@ mod tests {
         assert_eq!(engine.shared_prep_computes(), 1);
         assert_eq!(engine.shared_prep_for(2).k(), 2, "smaller k is a view");
         assert_eq!(engine.shared_prep_computes(), 1);
-    }
-
-    #[test]
-    fn custom_policy_runs_through_the_engine() {
-        /// Expands records in reverse dataset order — still correct, because
-        /// CTA-style one-shot policies insert every competitor.
-        struct ReverseCta;
-        impl ExpansionPolicy for ReverseCta {
-            fn algorithm(&self) -> Algorithm {
-                Algorithm::Cta
-            }
-            fn initial_batch(&self, query: &PreparedQuery<'_>) -> Vec<RecordId> {
-                (0..query.filtered.records.len()).rev().collect()
-            }
-        }
-
-        let (dataset, raw, focal) = figure1();
-        let engine = QueryEngine::new(&dataset, KsprConfig::default());
-        let result = engine.run_with_policy(&ReverseCta, &focal, 3);
-        let agreement = naive::classification_agreement(&result, &raw, &focal, 3, 400, 13);
-        assert!(agreement > 0.995, "agreement {agreement}");
     }
 }

@@ -11,8 +11,8 @@
 //! * past [`AdmissionOptions::degrade_watermark`] pending queries a
 //!   tier-dispatched query ([`crate::ServeHandle::submit_tiered`]) is
 //!   **degraded**: its exact-capable tier is replaced with
-//!   `Approximate { degrade_budget }`, trading a guaranteed-error estimate
-//!   for a bounded, dataset-size-independent cost.  Fixed-type submissions
+//!   `Approximate` under the default [`kspr::ErrorBudget`], trading a
+//!   guaranteed-error estimate for a bounded, dataset-size-independent cost.  Fixed-type submissions
 //!   ([`crate::ServeHandle::submit`] / `submit_approx`) cannot change their
 //!   answer type and pass through undegraded.
 //!
@@ -23,7 +23,6 @@
 //! (`usize::MAX`); every verdict is counted in [`crate::ServeStats`].
 
 use crate::error::ServeError;
-use kspr::ErrorBudget;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -31,10 +30,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionOptions {
     /// Pending-queue depth beyond which tier-dispatched queries are
-    /// downgraded to `Approximate { degrade_budget }`.
+    /// downgraded to `Approximate` under the default [`kspr::ErrorBudget`].
     pub degrade_watermark: usize,
-    /// The error budget degraded queries are answered under.
-    pub degrade_budget: ErrorBudget,
     /// Pending-queue depth beyond which queries are rejected with
     /// [`ServeError::Overloaded`].
     pub hard_limit: usize,
@@ -49,7 +46,6 @@ impl Default for AdmissionOptions {
     fn default() -> Self {
         Self {
             degrade_watermark: usize::MAX,
-            degrade_budget: ErrorBudget::default(),
             hard_limit: usize::MAX,
             client_quota: usize::MAX,
         }
@@ -60,7 +56,7 @@ impl Default for AdmissionOptions {
 pub(crate) enum Verdict {
     /// Serve as requested.
     Accept,
-    /// Serve, but downgrade an exact-capable tier to the degrade budget.
+    /// Serve, but downgrade an exact-capable tier to the approximate tier.
     Degrade,
     /// Turn the query away.
     Reject(ServeError),
@@ -150,7 +146,6 @@ mod tests {
             hard_limit: 0,
             client_quota: 0,
             degrade_watermark: 0,
-            ..defaults
         };
         assert!(matches!(
             overloaded.admit(&stamp),

@@ -229,7 +229,7 @@ pub(crate) fn run_jobs(
                     && !matches!(job.tier, QueryTier::Approximate { .. })
                 {
                     job.tier = QueryTier::Approximate {
-                        budget: admission.degrade_budget,
+                        budget: ErrorBudget::default(),
                     };
                     live.degraded_to_approx.inc();
                 }

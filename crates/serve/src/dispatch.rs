@@ -134,11 +134,20 @@ pub(crate) fn reject_msg(msg: Msg, err: &ServeError) -> u64 {
     }
 }
 
-/// What [`crate::Server`] hands the dispatcher thread: the tuning knobs,
-/// the (possibly recovered) standing-query registry, and the durability
-/// hook.
+/// Most updates one drain applies before a single WAL commit and one
+/// standing-query maintenance pass.  The dispatcher never waits to fill the
+/// window: it takes only updates that are already queued.
+pub const MAINTENANCE_WINDOW: usize = 32;
+
+/// Most queries one drain merges into a single `run_batch` call.  (An
+/// explicit [`crate::ServeHandle::submit_many`] batch is always answered
+/// through one call, whatever its size.)
+const QUERY_BATCH_LIMIT: usize = 64;
+
+/// What [`crate::Server`] hands the dispatcher thread: the admission
+/// thresholds, the (possibly recovered) standing-query registry, and the
+/// durability hook.
 pub(crate) struct DispatchConfig {
-    pub(crate) batch_limit: usize,
     pub(crate) admission: crate::admission::AdmissionOptions,
     pub(crate) persist: Option<Persist>,
     pub(crate) monitor: Monitor,
@@ -357,7 +366,6 @@ pub(crate) fn dispatch(
     config: DispatchConfig,
 ) -> (ShardedEngine, ServeStats) {
     let DispatchConfig {
-        batch_limit,
         admission,
         mut persist,
         mut monitor,
@@ -395,13 +403,12 @@ pub(crate) fn dispatch(
             update @ (Msg::Insert { .. } | Msg::Delete { .. }) => {
                 // Batched update dequeue, mirroring the query batching
                 // below: greedily pull further *already-queued* consecutive
-                // updates — never waiting for more to arrive — up to the
-                // maintenance batching window, so a burst of updates shares
-                // one standing-query maintenance pass and **one WAL commit**
+                // updates — never waiting for more to arrive — up to
+                // `MAINTENANCE_WINDOW`, so a burst of updates shares one
+                // standing-query maintenance pass and **one WAL commit**
                 // (the fsync batching of `kspr-durable`).
-                let window = engine.config().monitor_batch_window;
                 let mut pending = vec![update];
-                while pending.len() < window {
+                while pending.len() < MAINTENANCE_WINDOW {
                     match rx.try_recv() {
                         Ok(next @ (Msg::Insert { .. } | Msg::Delete { .. })) => {
                             pending.push(next);
@@ -761,14 +768,15 @@ pub(crate) fn dispatch(
                 // queries (updates act as barriers, preserving FIFO
                 // semantics between queries and updates).
                 let mut batch = vec![job];
-                while batch.len() < batch_limit {
+                while batch.len() < QUERY_BATCH_LIMIT {
                     match rx.try_recv() {
                         Ok(Msg::Query(next)) => batch.push(next),
                         Ok(other) => {
                             // A Batch keeps its own identity (absorbing it
-                            // here could blow past `batch_limit`); updates
-                            // act as barriers.  Either way FIFO between the
-                            // drained queries and what follows is preserved.
+                            // here could blow past `QUERY_BATCH_LIMIT`);
+                            // updates act as barriers.  Either way FIFO
+                            // between the drained queries and what follows
+                            // is preserved.
                             carry.push_back(other);
                             break;
                         }

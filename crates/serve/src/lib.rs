@@ -92,6 +92,7 @@ mod telemetry;
 
 pub use admission::AdmissionOptions;
 pub use batch::MAX_APPROX_SAMPLES;
+pub use dispatch::MAINTENANCE_WINDOW;
 pub use error::{ServeError, Ticket};
 pub use kspr_approx::TieredResult;
 pub use kspr_monitor::{QueryId, ResultDelta, UpdateClass};

@@ -66,7 +66,7 @@
 //!
 //! Updates use the same batched-dequeue pattern as queries: the dispatcher
 //! greedily drains further *already-queued* consecutive inserts/deletes —
-//! up to [`kspr::KsprConfig::monitor_batch_window`], never waiting for more
+//! up to [`crate::MAINTENANCE_WINDOW`], never waiting for more
 //! to arrive — applies each one, commits the whole batch to the WAL (one
 //! fsync — on a durable server), acknowledges each ticket, then runs
 //! **one** standing-query maintenance pass
@@ -84,7 +84,7 @@
 //! epoch snapshot, truncating the WAL.
 
 use crate::admission::{AdmissionOptions, Stamp};
-use crate::batch::{validate_budget, QueryJob, Sink};
+use crate::batch::{QueryJob, Sink};
 use crate::dispatch::{dispatch, reject_msg, DispatchConfig, Msg};
 use crate::error::{ServeError, Ticket};
 use crate::persist::{recover_state, snapshot_of, Persist, RecoverError};
@@ -103,16 +103,13 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Server tuning knobs.
+/// Server tuning knobs.  The rest of the serving setup is fixed: queries
+/// without an explicit algorithm run LP-CTA (the paper's Section 6), a
+/// queue drain merges at most 64 queries into one `run_batch` call, an
+/// update drain applies at most [`crate::MAINTENANCE_WINDOW`] updates per
+/// maintenance pass, and the WAL-size warning fires past 64 MiB.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Algorithm used by [`ServeHandle::submit`] (override per request with
-    /// [`ServeHandle::submit_with`]).
-    pub algorithm: Algorithm,
-    /// Maximum number of queries merged into one `run_batch` call when
-    /// draining the queue.  (An explicit [`ServeHandle::submit_many`] batch
-    /// is always answered through a single call, whatever its size.)
-    pub batch_limit: usize,
     /// Admission-control thresholds (all off by default; see the
     /// `admission` module).
     pub admission: AdmissionOptions,
@@ -123,10 +120,6 @@ pub struct ServeOptions {
     /// requests always are.  `None` (the default) retains only
     /// client-pinned traces; `Some(Duration::ZERO)` retains every request.
     pub slow_query_threshold: Option<Duration>,
-    /// WAL size watermark, bytes: once the live WAL (the `kspr_wal_bytes`
-    /// gauge) grows past this, the server logs one warning per snapshot
-    /// epoch suggesting a compaction.  Default 64 MiB.
-    pub wal_warn_bytes: u64,
     /// How many complete span trees the flight recorder retains (most
     /// recent wins).  Traced requests enter the recorder when the client
     /// pinned them with a wire trace id or when they crossed
@@ -138,11 +131,8 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
-            algorithm: Algorithm::LpCta,
-            batch_limit: 64,
             admission: AdmissionOptions::default(),
             slow_query_threshold: None,
-            wal_warn_bytes: 64 << 20,
             flight_recorder_capacity: crate::FLIGHT_RECORDER_CAPACITY,
         }
     }
@@ -156,7 +146,6 @@ impl Default for ServeOptions {
 #[derive(Clone)]
 pub struct ServeHandle {
     tx: mpsc::Sender<Msg>,
-    algorithm: Algorithm,
     queue: Arc<AtomicUsize>,
     client: Arc<AtomicUsize>,
     closing: Arc<AtomicBool>,
@@ -195,7 +184,6 @@ impl ServeHandle {
     pub fn fork_client(&self) -> Self {
         Self {
             tx: self.tx.clone(),
-            algorithm: self.algorithm,
             queue: Arc::clone(&self.queue),
             client: Arc::new(AtomicUsize::new(0)),
             closing: Arc::clone(&self.closing),
@@ -203,9 +191,9 @@ impl ServeHandle {
         }
     }
 
-    /// Enqueues one query with the server's default algorithm.
+    /// Enqueues one LP-CTA query.
     pub fn submit(&self, focal: Vec<f64>, k: usize) -> Ticket<KsprResult> {
-        self.submit_with(self.algorithm, focal, k)
+        self.submit_with(Algorithm::LpCta, focal, k)
     }
 
     /// Enqueues one query with an explicit algorithm.
@@ -221,7 +209,7 @@ impl ServeHandle {
     /// [`ServeHandle::submit_with`] under a caller-built [`RequestTrace`]
     /// (usually [`RequestTrace::traced`], so the request grows a span tree
     /// the flight recorder can retain).
-    pub fn submit_with_trace(
+    pub(crate) fn submit_with_trace(
         &self,
         algorithm: Algorithm,
         focal: Vec<f64>,
@@ -255,7 +243,7 @@ impl ServeHandle {
     ) -> Ticket<ApproxImpact> {
         let (tx, ticket) = Ticket::new();
         self.enqueue(Msg::Query(QueryJob {
-            algorithm: self.algorithm,
+            algorithm: Algorithm::LpCta,
             focal,
             k,
             tier: QueryTier::Approximate { budget },
@@ -283,7 +271,7 @@ impl ServeHandle {
     }
 
     /// [`ServeHandle::submit_tiered`] under a caller-built [`RequestTrace`].
-    pub fn submit_tiered_trace(
+    pub(crate) fn submit_tiered_trace(
         &self,
         algorithm: Algorithm,
         focal: Vec<f64>,
@@ -304,15 +292,16 @@ impl ServeHandle {
         ticket
     }
 
-    /// Enqueues a whole batch of same-`k` queries at once; the dispatcher
-    /// answers them through a single [`ShardedEngine::run_batch`] call.
+    /// Enqueues a whole batch of same-`k` LP-CTA queries at once; the
+    /// dispatcher answers them through a single [`ShardedEngine::run_batch`]
+    /// call, whatever its size.
     pub fn submit_many(&self, focals: Vec<Vec<f64>>, k: usize) -> Vec<Ticket<KsprResult>> {
         let mut jobs = Vec::with_capacity(focals.len());
         let mut tickets = Vec::with_capacity(focals.len());
         for focal in focals {
             let (tx, ticket) = Ticket::new();
             jobs.push(QueryJob {
-                algorithm: self.algorithm,
+                algorithm: Algorithm::LpCta,
                 focal,
                 k,
                 tier: QueryTier::Exact,
@@ -332,7 +321,7 @@ impl ServeHandle {
     }
 
     /// [`ServeHandle::insert`] under a caller-built [`RequestTrace`].
-    pub fn insert_trace(&self, values: Vec<f64>, trace: RequestTrace) -> Ticket<RecordId> {
+    pub(crate) fn insert_trace(&self, values: Vec<f64>, trace: RequestTrace) -> Ticket<RecordId> {
         let (tx, ticket) = Ticket::new();
         self.enqueue(Msg::Insert { values, tx, trace });
         ticket
@@ -344,18 +333,17 @@ impl ServeHandle {
     }
 
     /// [`ServeHandle::delete`] under a caller-built [`RequestTrace`].
-    pub fn delete_trace(&self, id: RecordId, trace: RequestTrace) -> Ticket<bool> {
+    pub(crate) fn delete_trace(&self, id: RecordId, trace: RequestTrace) -> Ticket<bool> {
         let (tx, ticket) = Ticket::new();
         self.enqueue(Msg::Delete { id, tx, trace });
         ticket
     }
 
-    /// Registers a standing query with the server's default algorithm;
-    /// resolves to a [`Subscription`](crate::Subscription) that yields a
+    /// Registers a standing LP-CTA query; resolves to a [`Subscription`](crate::Subscription) that yields a
     /// [`kspr_monitor::ResultDelta`] after every update that changed the
     /// query's result.
     pub fn subscribe(&self, focal: Vec<f64>, k: usize) -> SubscribeTicket {
-        self.subscribe_with(self.algorithm, focal, k)
+        self.subscribe_with(Algorithm::LpCta, focal, k)
     }
 
     /// Registers a standing query with an explicit algorithm (CellTree
@@ -491,7 +479,6 @@ impl ServeHandle {
 /// A running serving loop that owns a [`ShardedEngine`].
 pub struct Server {
     tx: mpsc::Sender<Msg>,
-    algorithm: Algorithm,
     queue: Arc<AtomicUsize>,
     closing: Arc<AtomicBool>,
     metrics: Arc<ServeMetrics>,
@@ -555,21 +542,12 @@ impl Server {
         persist: Option<Persist>,
         monitor: Monitor,
     ) -> Self {
-        assert!(options.batch_limit >= 1, "batch limit must be at least 1");
-        if options.admission.degrade_watermark != usize::MAX {
-            assert!(
-                validate_budget(&options.admission.degrade_budget).is_ok(),
-                "the degradation budget must itself be serveable"
-            );
-        }
         let (tx, rx) = mpsc::channel();
         let metrics = Arc::new(ServeMetrics::new(
             options.slow_query_threshold,
-            options.wal_warn_bytes,
             options.flight_recorder_capacity,
         ));
         let config = DispatchConfig {
-            batch_limit: options.batch_limit,
             admission: options.admission,
             persist,
             monitor,
@@ -578,7 +556,6 @@ impl Server {
         let join = std::thread::spawn(move || dispatch(engine, rx, config));
         Self {
             tx,
-            algorithm: options.algorithm,
             queue: Arc::new(AtomicUsize::new(0)),
             closing: Arc::new(AtomicBool::new(false)),
             metrics,
@@ -591,7 +568,6 @@ impl Server {
     pub fn handle(&self) -> ServeHandle {
         ServeHandle {
             tx: self.tx.clone(),
-            algorithm: self.algorithm,
             queue: Arc::clone(&self.queue),
             client: Arc::new(AtomicUsize::new(0)),
             closing: Arc::clone(&self.closing),
@@ -1287,12 +1263,7 @@ mod tests {
     fn update_bursts_share_one_maintenance_pass_within_the_window() {
         use kspr::ErrorBudget;
         let server = Server::start(
-            ShardedEngine::empty(
-                2,
-                KsprConfig::default()
-                    .with_shards(2)
-                    .with_monitor_batch_window(4),
-            ),
+            ShardedEngine::empty(2, KsprConfig::default().with_shards(2)),
             ServeOptions::default(),
         );
         let handle = server.handle();
@@ -1307,7 +1278,8 @@ mod tests {
         // (hundreds of thousands of samples) so the update burst below is
         // fully queued before the dispatcher sees its first insert.
         let blocker = handle.subscribe_approx(vec![0.95, 0.95], 1, ErrorBudget::new(0.002, 0.99));
-        let tickets: Vec<_> = (0..8)
+        let burst = crate::MAINTENANCE_WINDOW + 8;
+        let tickets: Vec<_> = (0..burst)
             .map(|i| handle.insert(vec![0.1 + 0.01 * i as f64, 0.2]))
             .collect();
         let approx_sub = blocker.wait().expect("approx subscribe");
@@ -1324,16 +1296,21 @@ mod tests {
         drop(approx_sub);
         drop(sub);
         let (_, stats) = server.shutdown();
-        assert_eq!(stats.updates, 9);
+        let updates = 1 + burst as u64;
+        assert_eq!(stats.updates, updates);
         assert_eq!(
             stats.update_batches, 3,
-            "1 single + the 8 queued updates drained in window-4 batches"
+            "1 single + the queued burst drained as a full window and a rest of 8"
         );
-        assert_eq!(stats.largest_update_batch, 4, "the window caps the drain");
+        assert_eq!(
+            stats.largest_update_batch,
+            crate::MAINTENANCE_WINDOW,
+            "the window caps the drain"
+        );
         assert_eq!(stats.monitor.batches, 3);
-        assert_eq!(stats.monitor.batched_updates, 9);
-        assert_eq!(stats.monitor.classified(), 9);
-        assert_eq!(stats.monitor.unaffected, 9);
+        assert_eq!(stats.monitor.batched_updates, updates);
+        assert_eq!(stats.monitor.classified(), updates);
+        assert_eq!(stats.monitor.unaffected, updates);
         assert_eq!(stats.notifications, 0);
     }
 
@@ -1341,12 +1318,7 @@ mod tests {
     fn approx_watches_redraw_once_per_update_batch() {
         use kspr::ErrorBudget;
         let server = Server::start(
-            ShardedEngine::empty(
-                2,
-                KsprConfig::default()
-                    .with_shards(2)
-                    .with_monitor_batch_window(4),
-            ),
+            ShardedEngine::empty(2, KsprConfig::default().with_shards(2)),
             ServeOptions::default(),
         );
         let handle = server.handle();
@@ -1405,25 +1377,6 @@ mod tests {
         assert_eq!(fsyncs(&handle), Some(1));
         let _ = server.shutdown();
         std::fs::remove_dir_all(&dir).expect("remove the state directory");
-    }
-
-    #[test]
-    fn window_one_restores_per_update_maintenance() {
-        let server = Server::start(
-            ShardedEngine::empty(2, KsprConfig::default().with_monitor_batch_window(1)),
-            ServeOptions::default(),
-        );
-        let handle = server.handle();
-        let tickets: Vec<_> = (0..6)
-            .map(|i| handle.insert(vec![0.2 + 0.1 * i as f64, 0.3]))
-            .collect();
-        for t in tickets {
-            t.wait().expect("insert");
-        }
-        let (_, stats) = server.shutdown();
-        assert_eq!(stats.updates, 6);
-        assert_eq!(stats.update_batches, 6, "window 1 never coalesces");
-        assert_eq!(stats.largest_update_batch, 1);
     }
 
     #[test]

@@ -171,8 +171,7 @@ pub struct ServeStats {
     /// committed to the WAL before their tickets were acknowledged.
     pub updates: u64,
     /// Update-maintenance batches the dispatcher drained (each covers >= 1
-    /// applied update; bounded by
-    /// [`kspr::KsprConfig::monitor_batch_window`]).
+    /// applied update; bounded by [`crate::MAINTENANCE_WINDOW`]).
     pub update_batches: u64,
     /// Largest number of updates drained into one maintenance batch.
     pub largest_update_batch: usize,

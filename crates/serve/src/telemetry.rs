@@ -125,6 +125,10 @@ const ALGORITHM_NAMES: [&str; 6] = ["cta", "pcta", "lp_cta", "k_skyband", "rtopk
 /// Configurable per server via `ServeOptions::flight_recorder_capacity`.
 pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
 
+/// WAL size, in bytes, past which the server logs one warning per
+/// snapshot epoch (the `kspr_wal_bytes` gauge crossing 64 MiB).
+pub(crate) const WAL_WARN_BYTES: u64 = 64 << 20;
+
 /// Phase-histogram name components, in [`kspr::Timing::iter`] order.
 const PHASE_NAMES: [&str; 4] = ["prep", "expansion", "lp", "dominance"];
 
@@ -176,15 +180,13 @@ pub(crate) struct ServeMetrics {
     /// The bounded ring of retained span trees (client-pinned traces plus
     /// every trace that crossed the slow-query threshold).
     recorder: FlightRecorder,
-    /// WAL size past which a warning is logged (once per epoch).
-    wal_warn_bytes: u64,
+    /// Set once the WAL crossed [`WAL_WARN_BYTES`] this epoch.
     wal_warned: AtomicBool,
 }
 
 impl ServeMetrics {
     pub(crate) fn new(
         slow_query_threshold: Option<Duration>,
-        wal_warn_bytes: u64,
         flight_recorder_capacity: usize,
     ) -> Self {
         let registry = MetricsRegistry::new();
@@ -284,7 +286,6 @@ impl ServeMetrics {
             slow_threshold_ns: slow_query_threshold
                 .map(|t| u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)),
             recorder: FlightRecorder::new(flight_recorder_capacity),
-            wal_warn_bytes,
             wal_warned: AtomicBool::new(false),
         }
     }
@@ -370,12 +371,13 @@ impl ServeMetrics {
         if synced {
             self.wal_fsyncs.inc();
         }
-        if bytes > self.wal_warn_bytes && !self.wal_warned.swap(true, Ordering::Relaxed) {
+        if bytes > WAL_WARN_BYTES && !self.wal_warned.swap(true, Ordering::Relaxed) {
             eprintln!(
                 "kspr-serve: WAL has grown to {bytes} bytes (watermark \
-                 {}); recovery replay is getting long — consider a lower \
-                 compaction threshold or a manual snapshot",
-                self.wal_warn_bytes
+                 {WAL_WARN_BYTES}); recovery replay is getting long — the \
+                 WAL is truncated by the next compaction (once more than \
+                 half the record slots are deleted), by a clean \
+                 Server::shutdown, or by Server::recover"
             );
         }
     }
@@ -426,7 +428,7 @@ mod tests {
 
     #[test]
     fn live_counters_are_registry_series() {
-        let metrics = ServeMetrics::new(None, u64::MAX, 4);
+        let metrics = ServeMetrics::new(None, 4);
         metrics.live.queries.add(9);
         metrics.live.reject(&ServeError::QuotaExceeded);
         metrics.live.reject(&ServeError::QuotaExceeded);
@@ -453,7 +455,7 @@ mod tests {
 
     #[test]
     fn slow_traces_are_retained_up_to_capacity() {
-        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)), u64::MAX, 4);
+        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)), 4);
         // With a threshold set, in-process submissions are traced under
         // server-assigned, unpinned ids.
         let trace = metrics.start_trace();
@@ -474,7 +476,7 @@ mod tests {
 
     #[test]
     fn disabled_threshold_retains_nothing() {
-        let metrics = ServeMetrics::new(None, u64::MAX, 4);
+        let metrics = ServeMetrics::new(None, 4);
         let trace = metrics.start_trace();
         assert_eq!(trace.trace_id(), None, "no threshold: stage timing only");
         assert_eq!(metrics.finish_trace(trace, u64::MAX), None);
@@ -485,7 +487,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_keeps_pinned_and_slow_traces() {
-        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)), u64::MAX, 4);
+        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)), 4);
         // A client-pinned trace is kept regardless of latency.
         let pinned = RequestTrace::traced(TraceId(7), true);
         assert_eq!(metrics.finish_trace(pinned, 0), Some(TraceId(7)));
@@ -504,7 +506,7 @@ mod tests {
 
     #[test]
     fn phase_histograms_record_engine_breakdowns() {
-        let metrics = ServeMetrics::new(None, u64::MAX, 4);
+        let metrics = ServeMetrics::new(None, 4);
         let mut stats = QueryStats::new();
         stats.phases.prep_ns = 100;
         stats.phases.expansion_ns = 400;
@@ -531,10 +533,11 @@ mod tests {
 
     #[test]
     fn wal_watermark_warns_once_per_epoch() {
-        let metrics = ServeMetrics::new(None, 100, 4);
-        metrics.wal_committed(50, 10, true);
+        let metrics = ServeMetrics::new(None, 4);
+        // At the watermark, not past it: no warning yet.
+        metrics.wal_committed(WAL_WARN_BYTES, 10, true);
         assert!(!metrics.wal_warned.load(Ordering::Relaxed));
-        metrics.wal_committed(150, 10, true);
+        metrics.wal_committed(WAL_WARN_BYTES + 1, 10, true);
         assert!(metrics.wal_warned.load(Ordering::Relaxed));
         metrics.snapshot_installed(0, 1);
         assert!(

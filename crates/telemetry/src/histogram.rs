@@ -109,12 +109,6 @@ impl Histogram {
         self.min.fetch_min(value, Ordering::Relaxed);
     }
 
-    /// Records a [`std::time::Duration`] in nanoseconds (saturating at
-    /// `u64::MAX` — ~584 years).
-    pub fn record_duration(&self, elapsed: std::time::Duration) {
-        self.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
