@@ -13,13 +13,13 @@
 //! Checks, per section: the section parses as a JSON object, carries a
 //! `"scale"` tag, and every number in it is finite.  Sections with known
 //! shapes get structural checks on top — the `telemetry` section must
-//! report all seven pipeline stages with live counts, the `trace` section
+//! report every pipeline stage with live counts, the `trace` section
 //! must have retained well-formed traces and a non-empty export, and the
 //! speedup-style sections (`batch`, `update`, `approx`) must report
 //! positive timings.  Exits non-zero with a message on the first failure,
 //! so a workflow step can gate on it directly.
 
-use kspr_telemetry::{parse_json, JsonValue};
+use kspr_telemetry::{parse_json, JsonValue, Stage};
 
 fn fail(message: impl AsRef<str>) -> ! {
     eprintln!("[check_perf] FAIL: {}", message.as_ref());
@@ -47,19 +47,17 @@ fn number(section: &str, value: &JsonValue, key: &str) -> f64 {
         .unwrap_or_else(|| fail(format!("section `{section}` is missing numeric `{key}`")))
 }
 
-/// The pipeline stages the `telemetry` section must report (mirrors
-/// `kspr_telemetry::Stage::ALL`).
-const STAGES: [&str; 7] = [
-    "queue",
-    "admission",
-    "batch",
-    "engine",
-    "wal_commit",
-    "ack",
-    "notify",
-];
+/// The pipeline stages the `telemetry` section must report: every
+/// [`Stage`], so a stage added later is checked without editing this file.
+fn required_stages() -> impl Iterator<Item = &'static str> {
+    Stage::ALL.into_iter().map(Stage::name)
+}
 
-const PHASES: [&str; 4] = ["prep", "expansion", "lp", "dominance"];
+/// The engine phases the `trace` section must report: every phase a
+/// [`kspr::Timing`] block breaks a query into.
+fn required_phases() -> impl Iterator<Item = &'static str> {
+    kspr::Timing::default().iter().map(|(name, _)| name)
+}
 
 fn check_section(name: &str, section: &JsonValue) {
     if section.as_object().is_none() {
@@ -74,7 +72,7 @@ fn check_section(name: &str, section: &JsonValue) {
             let stages = section
                 .get("stages")
                 .unwrap_or_else(|| fail("telemetry section has no `stages` object"));
-            for stage in STAGES {
+            for stage in required_stages() {
                 let entry = stages.get(stage).unwrap_or_else(|| {
                     fail(format!("telemetry section is missing stage `{stage}`"))
                 });
@@ -96,7 +94,7 @@ fn check_section(name: &str, section: &JsonValue) {
             let phases = section
                 .get("phases")
                 .unwrap_or_else(|| fail("trace section has no `phases` object"));
-            for phase in PHASES {
+            for phase in required_phases() {
                 let entry = phases
                     .get(phase)
                     .unwrap_or_else(|| fail(format!("trace section is missing phase `{phase}`")));

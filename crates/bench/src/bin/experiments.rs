@@ -1589,7 +1589,10 @@ fn trace(scale: Scale) {
         "phase", "count", "p50 (us)", "p95 (us)", "p99 (us)"
     );
     let snap = handle.metrics();
-    const PHASES: [&str; 4] = ["prep", "expansion", "lp", "dominance"];
+    let phases: Vec<&str> = kspr::Timing::default()
+        .iter()
+        .map(|(name, _)| name)
+        .collect();
     let mut body = String::from("{\n");
     body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
     body.push_str(&format!("    \"n\": {n},\n    \"d\": {},\n", p.d_default));
@@ -1606,7 +1609,7 @@ fn trace(scale: Scale) {
     ));
     body.push_str(&format!("    \"wall_secs\": {wall_secs:.6},\n"));
     body.push_str("    \"phases\": {\n");
-    for (i, phase) in PHASES.iter().enumerate() {
+    for (i, phase) in phases.iter().enumerate() {
         let h = snap
             .histogram(&format!("kspr_phase_{phase}_ns"))
             .expect("phase histogram");
@@ -1626,7 +1629,7 @@ fn trace(scale: Scale) {
             h.quantile(0.95),
             h.p99(),
             h.max(),
-            if i + 1 == PHASES.len() { "" } else { "," },
+            if i + 1 == phases.len() { "" } else { "," },
         ));
     }
     body.push_str("    }\n  }");

@@ -102,34 +102,21 @@ pub struct Dataset {
 
 impl Dataset {
     /// Builds a dataset (and its index) from raw attribute vectors with the
-    /// default R-tree fanout.
+    /// default R-tree fanout ([`AggregateRTree::DEFAULT_FANOUT`]).
     ///
     /// # Panics
     /// Panics if `raw` is empty, the rows have inconsistent arities, or any
     /// value is non-finite (NaN / ±∞).
     pub fn new(raw: Vec<Vec<f64>>) -> Self {
-        Self::with_fanout(raw, AggregateRTree::DEFAULT_FANOUT)
-    }
-
-    /// Builds a dataset with an explicit R-tree fanout.
-    ///
-    /// # Panics
-    /// Panics if `raw` is empty, the rows have inconsistent arities, or any
-    /// value is non-finite (NaN / ±∞).
-    pub fn with_fanout(raw: Vec<Vec<f64>>, fanout: usize) -> Self {
         let dim = raw.first().map(|r| r.len());
         for (id, row) in raw.iter().enumerate() {
             validate_record(row, dim, id);
         }
-        let records = Record::from_raw(raw);
-        Self::from_tree(AggregateRTree::bulk_load(records, fanout))
-    }
-
-    /// Wraps an already-built index.
-    pub fn from_tree(tree: AggregateRTree) -> Self {
-        let dim = tree.dim();
-        let columns =
-            ColumnarBlock::from_rows(dim, tree.records().iter().map(|r| r.values.as_slice()));
+        let tree = AggregateRTree::bulk_load(Record::from_raw(raw), AggregateRTree::DEFAULT_FANOUT);
+        let columns = ColumnarBlock::from_rows(
+            tree.dim(),
+            tree.records().iter().map(|r| r.values.as_slice()),
+        );
         Self {
             tree: Arc::new(tree),
             columns: Arc::new(columns),

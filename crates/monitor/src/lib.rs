@@ -925,41 +925,6 @@ impl Monitor {
     }
 }
 
-/// True iff the update record `values` (an insert that just landed, or a
-/// delete that was just applied — probe the engine **after** the update
-/// either way) provably leaves the focal record's top-`k` membership
-/// indicator unchanged at *every* preference vector — and with it the true
-/// market impact.
-///
-/// This is the standing-query classifier's witness logic, split out for
-/// consumers that maintain a scalar instead of a region decomposition (the
-/// approximate standing queries of `kspr-serve`): an unchanged indicator
-/// means a previously drawn Monte-Carlo estimate — and its confidence
-/// interval — remains valid for the *current* dataset state, so the
-/// estimate need not be redrawn.  Two sufficient conditions, each from the
-/// module-docs argument:
-///
-/// * the focal record dominates (or ties) the update record — its score
-///   never beats the focal score, so the Section-3.1 preprocessing never
-///   sees it;
-/// * the update record has at least `k` live dominators (one MBR-pruned
-///   [`MonitorEngine::count_dominating`] probe) — wherever it outscores the
-///   focal record, its `k` dominators already do, so the focal record's
-///   in/out-of-top-`k` status is the same with and without it.  (For a
-///   delete, the probe runs against the post-delete state, which is exactly
-///   the record set the witnesses must survive in.)
-///
-/// A `false` return means "possibly changed", not "changed": the caller
-/// re-runs or re-estimates.
-pub fn update_preserves_impact<E: MonitorEngine + ?Sized>(
-    engine: &E,
-    focal: &[f64],
-    k: usize,
-    values: &[f64],
-) -> bool {
-    values == focal || dominates(focal, values) || engine.count_dominating(values, k) >= k
-}
-
 /// A [`QueryEngine`] bundled with a [`Monitor`]: updates go through one call
 /// that applies them to the engine *and* maintains every standing query.
 pub struct MonitoredEngine {
@@ -1044,63 +1009,6 @@ mod tests {
             vec![0.8, 0.3, 0.4],
             vec![0.4, 0.3, 0.6],
         ])
-    }
-
-    #[test]
-    fn update_preserves_impact_matches_a_brute_force_indicator_check() {
-        use kspr::naive;
-        use kspr::PreferenceSpace;
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(71);
-        let d = 3;
-        let raw: Vec<Vec<f64>> = (0..60)
-            .map(|_| (0..d).map(|_| rng.gen_range(0.05..0.95)).collect())
-            .collect();
-        let k = 4;
-        let focal = vec![0.7, 0.65, 0.7];
-        let space = PreferenceSpace::transformed(d);
-        let probes = naive::sample_weights(&space, 400, 5);
-
-        // For a spread of candidate update records, whenever the classifier
-        // says "preserved", inserting the record must leave the top-k
-        // indicator unchanged on every probe weight.
-        let mut preserved_some = false;
-        let mut changed_some = false;
-        for seed in 0..20 {
-            let mut urng = SmallRng::seed_from_u64(1000 + seed);
-            let values: Vec<f64> = (0..d).map(|_| urng.gen_range(0.0..1.0)).collect();
-            let mut with = raw.clone();
-            with.push(values.clone());
-            let post = engine(with.clone());
-            if update_preserves_impact(&post, &focal, k, &values) {
-                preserved_some = true;
-                for w in &probes {
-                    let full = space.to_full_weight(w);
-                    assert_eq!(
-                        naive::is_top_k(&raw, &focal, &full, k),
-                        naive::is_top_k(&with, &focal, &full, k),
-                        "preserved-classified insert changed the indicator at {w:?}"
-                    );
-                }
-            } else {
-                changed_some = true;
-            }
-        }
-        assert!(preserved_some, "some random update must classify away");
-        assert!(changed_some, "some random update must not classify away");
-
-        // The explicit cases: ties and focal-dominated records are invisible;
-        // a dominator of the focal record with < k dominators is not.
-        let post = engine(raw.clone());
-        assert!(update_preserves_impact(&post, &focal, k, &focal));
-        assert!(update_preserves_impact(&post, &focal, k, &[0.1, 0.1, 0.1]));
-        assert!(!update_preserves_impact(
-            &post,
-            &focal,
-            k,
-            &[0.99, 0.99, 0.99]
-        ));
     }
 
     /// The maintained result must match a fresh run at the current state.

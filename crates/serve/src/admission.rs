@@ -1,12 +1,13 @@
 //! The admission layer: the gate between *enqueue* and *dispatch*.
 //!
 //! Every query is stamped at enqueue time with the pending-queue depth and
-//! its client's in-flight count (`Stamp`); when the dispatcher dequeues
-//! the query it judges those stamped values against [`AdmissionOptions`]:
+//! its client's count of queued queries (`Stamp`); when the dispatcher
+//! dequeues the query it judges those stamped values against
+//! [`AdmissionOptions`]:
 //!
 //! * past [`AdmissionOptions::hard_limit`] pending queries the request is
 //!   rejected with [`ServeError::Overloaded`];
-//! * past [`AdmissionOptions::client_quota`] in-flight queries *from the
+//! * past [`AdmissionOptions::client_quota`] queued queries *from the
 //!   same client* it is rejected with [`ServeError::QuotaExceeded`];
 //! * past [`AdmissionOptions::degrade_watermark`] pending queries a
 //!   tier-dispatched query ([`crate::ServeHandle::submit_tiered`]) is
@@ -35,10 +36,15 @@ pub struct AdmissionOptions {
     /// Pending-queue depth beyond which queries are rejected with
     /// [`ServeError::Overloaded`].
     pub hard_limit: usize,
-    /// Per-client in-flight query cap; beyond it the client's queries are
+    /// Per-client cap on queued queries; beyond it the client's queries are
     /// rejected with [`ServeError::QuotaExceeded`].  A client is one
     /// [`crate::Server::handle`] call and its clones
     /// ([`crate::ServeHandle::fork_client`] starts a new one).
+    ///
+    /// Like the queue depth, the count covers only queries the dispatcher
+    /// has not yet taken up: a query leaves it when the dispatcher routes
+    /// it into a batch, before that batch runs, so a query that is being
+    /// answered no longer counts.
     pub client_quota: usize,
 }
 
@@ -81,7 +87,7 @@ impl AdmissionOptions {
 }
 
 /// The admission stamp a query carries from enqueue to dispatch: the
-/// pending-queue depth and the client's in-flight count, both *including*
+/// pending-queue depth and the client's queued-query count, both *including*
 /// this query, as they were the moment it was submitted.
 ///
 /// The stamp owns its slot in both counters and releases it on drop, so
@@ -96,7 +102,7 @@ pub(crate) struct Stamp {
 
 impl Stamp {
     /// Claims a slot in the shared queue-depth counter and the client's
-    /// in-flight counter, recording both post-increment values.
+    /// queued-query counter, recording both post-increment values.
     pub(crate) fn acquire(queue: &Arc<AtomicUsize>, client: &Arc<AtomicUsize>) -> Self {
         Self {
             depth: queue.fetch_add(1, Ordering::AcqRel) + 1,

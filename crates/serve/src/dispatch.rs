@@ -9,16 +9,16 @@
 //! request still queued is drained and resolved with
 //! [`ServeError::Shutdown`] instead of left to observe a dead channel.
 
-use crate::batch::{run_jobs, validate_budget, validate_insert, QueryJob};
-use crate::error::{ingest_error, register_error, ServeError};
+use crate::batch::{run_jobs, validate_insert, QueryJob};
+use crate::error::{register_error, ServeError};
 use crate::persist::{snapshot_of, Persist};
 use crate::stats::ServeStats;
-use crate::subscription::{ApproxDelta, ApproxStanding, ApproxWatchId, DeltaPush, DeltaQueue};
+use crate::subscription::{DeltaPush, DeltaQueue};
 use crate::telemetry::{LiveStats, ServeMetrics};
 use crate::ShardedEngine;
-use kspr::{Algorithm, ApproxImpact, ErrorBudget, KsprResult, RecordId};
+use kspr::{Algorithm, KsprResult, RecordId};
 use kspr_durable::WalRecord;
-use kspr_monitor::{update_preserves_impact, Monitor, QueryId, ResultDelta, UpdateKind};
+use kspr_monitor::{Monitor, QueryId, ResultDelta, UpdateKind};
 use kspr_telemetry::{RequestTrace, Stage};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc};
@@ -43,7 +43,7 @@ pub(crate) enum Msg {
         algorithm: Algorithm,
         focal: Vec<f64>,
         k: usize,
-        deltas: Arc<DeltaQueue<ResultDelta>>,
+        deltas: Arc<DeltaQueue>,
         tx: mpsc::Sender<Result<(QueryId, KsprResult), ServeError>>,
     },
     Unsubscribe {
@@ -52,22 +52,6 @@ pub(crate) enum Msg {
         tx: Option<mpsc::Sender<Result<bool, ServeError>>>,
     },
     Subscriptions {
-        tx: mpsc::Sender<Result<usize, ServeError>>,
-    },
-    SubscribeApprox {
-        focal: Vec<f64>,
-        k: usize,
-        budget: ErrorBudget,
-        deltas: Arc<DeltaQueue<ApproxDelta>>,
-        tx: mpsc::Sender<Result<(ApproxWatchId, ApproxImpact), ServeError>>,
-    },
-    UnsubscribeApprox {
-        id: ApproxWatchId,
-        /// `None` for the fire-and-forget unsubscribe of
-        /// `ApproxSubscription::drop`.
-        tx: Option<mpsc::Sender<Result<bool, ServeError>>>,
-    },
-    ApproxSubscriptions {
         tx: mpsc::Sender<Result<usize, ServeError>>,
     },
     Shutdown,
@@ -114,22 +98,6 @@ pub(crate) fn reject_msg(msg: Msg, err: &ServeError) -> u64 {
             let _ = tx.send(Err(err.clone()));
             1
         }
-        Msg::SubscribeApprox { deltas, tx, .. } => {
-            deltas.close();
-            let _ = tx.send(Err(err.clone()));
-            1
-        }
-        Msg::UnsubscribeApprox { tx, .. } => match tx {
-            Some(tx) => {
-                let _ = tx.send(Err(err.clone()));
-                1
-            }
-            None => 0,
-        },
-        Msg::ApproxSubscriptions { tx } => {
-            let _ = tx.send(Err(err.clone()));
-            1
-        }
         Msg::Shutdown => 0,
     }
 }
@@ -162,7 +130,7 @@ pub(crate) struct DispatchConfig {
 /// dropped but its unsubscribe message is still in flight, and the
 /// notification is simply discarded.
 fn notify(
-    subscribers: &HashMap<QueryId, Arc<DeltaQueue<ResultDelta>>>,
+    subscribers: &HashMap<QueryId, Arc<DeltaQueue>>,
     deltas: Vec<ResultDelta>,
     live: &LiveStats,
 ) {
@@ -194,13 +162,10 @@ fn notify(
 /// resume watching.
 fn maintain_standing(
     monitor: &mut Monitor,
-    subscribers: &mut HashMap<QueryId, Arc<DeltaQueue<ResultDelta>>>,
+    subscribers: &mut HashMap<QueryId, Arc<DeltaQueue>>,
     live: &LiveStats,
     apply: impl FnOnce(&mut Monitor) -> Vec<ResultDelta>,
 ) {
-    if monitor.is_empty() {
-        return;
-    }
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| apply(monitor))) {
         Ok(deltas) => notify(subscribers, deltas, live),
         Err(_) => {
@@ -211,85 +176,6 @@ fn maintain_standing(
                 queue.close();
             }
             subscribers.clear();
-        }
-    }
-}
-
-/// Maintains every **approximate** standing query for one committed update
-/// batch.  Every (update, watch) pair is classified against the post-batch
-/// state: a pair the witness classifier proves impact-preserving counts as
-/// unaffected, and a watch whose every pair is preserving keeps its estimate
-/// (it is still a valid draw for the unchanged truth).  Any other watch is
-/// redrawn once against the post-batch state and pushes one
-/// [`ApproxDelta`] spanning the whole batch.  A panic inside the
-/// re-estimation invalidates the approximate registry exactly like the
-/// exact registry (subscribers re-subscribe), since a half-maintained watch
-/// set would silently serve stale estimates.
-fn maintain_approx_watch(
-    engine: &ShardedEngine,
-    watch: &mut HashMap<ApproxWatchId, ApproxStanding>,
-    live: &LiveStats,
-    batch: &[(UpdateKind, Vec<f64>)],
-    approx_seed: &mut u64,
-) {
-    if watch.is_empty() {
-        return;
-    }
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut updates: Vec<(ApproxWatchId, ApproxImpact)> = Vec::new();
-        let mut unaffected = 0u64;
-        // Deterministic maintenance order (ids are dense and never reused).
-        let mut ids: Vec<ApproxWatchId> = watch.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let standing = &watch[&id];
-            let preserved = batch
-                .iter()
-                .filter(|(_, values)| {
-                    update_preserves_impact(engine, &standing.focal, standing.k, values)
-                })
-                .count();
-            unaffected += preserved as u64;
-            if preserved == batch.len() {
-                continue;
-            }
-            let seed = *approx_seed;
-            *approx_seed = approx_seed.wrapping_add(1);
-            let fresh = engine
-                .run_approx_batch(
-                    std::slice::from_ref(&standing.focal),
-                    standing.k,
-                    &standing.budget,
-                    seed,
-                )
-                .pop()
-                .expect("one focal in, one estimate out");
-            updates.push((id, fresh));
-        }
-        (updates, unaffected)
-    }));
-    match outcome {
-        Ok((updates, unaffected)) => {
-            live.approx_watch_unaffected.add(unaffected);
-            for (id, fresh) in updates {
-                let standing = watch.get_mut(&id).expect("maintained id is registered");
-                let before = std::mem::replace(&mut standing.estimate, fresh.clone());
-                let delta = ApproxDelta {
-                    query: id,
-                    before,
-                    after: fresh,
-                };
-                if !matches!(standing.deltas.push(delta), DeltaPush::Closed) {
-                    live.approx_notifications.inc();
-                }
-            }
-        }
-        Err(_) => {
-            live.maintenance_failures.inc();
-            for standing in watch.values() {
-                standing.deltas.close();
-            }
-            watch.clear();
         }
     }
 }
@@ -373,9 +259,7 @@ pub(crate) fn dispatch(
     } = config;
     let live = &metrics.live;
     let mut carry: VecDeque<Msg> = VecDeque::new();
-    let mut subscribers: HashMap<QueryId, Arc<DeltaQueue<ResultDelta>>> = HashMap::new();
-    let mut approx_watch: HashMap<ApproxWatchId, ApproxStanding> = HashMap::new();
-    let mut next_approx_id: ApproxWatchId = 0;
+    let mut subscribers: HashMap<QueryId, Arc<DeltaQueue>> = HashMap::new();
     // Seed stream of the sampling tier: one fresh seed per sweep, so
     // estimates are deterministic per server run without ever reusing a
     // sample stream.
@@ -423,8 +307,8 @@ pub(crate) fn dispatch(
                 // The monitor needs every update's values after the engine
                 // consumed them; only pay the clones when someone watches.
                 // (Only updates are processed until the maintenance pass
-                // below, so the registries cannot change mid-batch.)
-                let watched = !monitor.is_empty() || !approx_watch.is_empty();
+                // below, so the registry cannot change mid-batch.)
+                let watched = !monitor.is_empty();
                 let mut batch: Vec<(UpdateKind, Vec<f64>)> = Vec::new();
                 let mut acks: Vec<StagedAck> = Vec::new();
                 for msg in pending {
@@ -546,13 +430,6 @@ pub(crate) fn dispatch(
                     maintain_standing(&mut monitor, &mut subscribers, live, |monitor| {
                         monitor.apply_batch(&engine, &batch)
                     });
-                    maintain_approx_watch(
-                        &engine,
-                        &mut approx_watch,
-                        live,
-                        &batch,
-                        &mut approx_seed,
-                    );
                     // The pass is timed from outside (the Notify stage has
                     // no single request to trace), and the refreshed
                     // monitor stats are published for non-blocking reads.
@@ -683,86 +560,6 @@ pub(crate) fn dispatch(
             Msg::Subscriptions { tx } => {
                 let _ = tx.send(Ok(monitor.len()));
             }
-            Msg::SubscribeApprox {
-                focal,
-                k,
-                budget,
-                deltas,
-                tx,
-            } => {
-                let valid = if k == 0 {
-                    Err(ServeError::InvalidK)
-                } else {
-                    validate_budget(&budget).and_then(|()| {
-                        kspr::check_record(&focal, Some(engine.dim())).map_err(ingest_error)
-                    })
-                };
-                match valid {
-                    Ok(()) => {
-                        let seed = approx_seed;
-                        approx_seed = approx_seed.wrapping_add(1);
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                engine
-                                    .run_approx_batch(
-                                        std::slice::from_ref(&focal),
-                                        k,
-                                        &budget,
-                                        seed,
-                                    )
-                                    .pop()
-                                    .expect("one focal in, one estimate out")
-                            }));
-                        match outcome {
-                            Ok(initial) => {
-                                // Approximate watches are deliberately *not*
-                                // durable: an estimate is only valid for the
-                                // sample stream that drew it, and a recovered
-                                // server starts a fresh stream — clients
-                                // re-subscribe after a crash.
-                                let id = next_approx_id;
-                                next_approx_id += 1;
-                                live.approx_subscriptions.inc();
-                                approx_watch.insert(
-                                    id,
-                                    ApproxStanding {
-                                        focal,
-                                        k,
-                                        budget,
-                                        estimate: initial.clone(),
-                                        deltas,
-                                    },
-                                );
-                                let _ = tx.send(Ok((id, initial)));
-                            }
-                            Err(_) => {
-                                live.reject(&ServeError::QueryFailed);
-                                let _ = tx.send(Err(ServeError::QueryFailed));
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        live.reject(&err);
-                        let _ = tx.send(Err(err));
-                    }
-                }
-            }
-            Msg::UnsubscribeApprox { id, tx } => {
-                let removed = match approx_watch.remove(&id) {
-                    Some(standing) => {
-                        // Wake a receiver still blocked on the dead stream.
-                        standing.deltas.close();
-                        true
-                    }
-                    None => false,
-                };
-                if let Some(tx) = tx {
-                    let _ = tx.send(Ok(removed));
-                }
-            }
-            Msg::ApproxSubscriptions { tx } => {
-                let _ = tx.send(Ok(approx_watch.len()));
-            }
             Msg::Query(job) => {
                 // Batched dequeue: greedily pull further *consecutive*
                 // queries (updates act as barriers, preserving FIFO
@@ -818,9 +615,6 @@ pub(crate) fn dispatch(
     // dispatcher state drops.
     for queue in subscribers.values() {
         queue.close();
-    }
-    for standing in approx_watch.values() {
-        standing.deltas.close();
     }
     live.set_monitor(monitor.stats());
     (engine, live.snapshot())

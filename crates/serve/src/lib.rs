@@ -22,22 +22,20 @@
 //!   `kspr-monitor` classifier (unaffected / patched in place / re-run) and
 //!   pushes a [`ResultDelta`] to the [`Subscription`] after every update
 //!   that changed it.  Dropping the subscription unregisters the query.
-//! * The **approximate tier** (`kspr-approx`) is wired through every entry
-//!   point: [`ServeHandle::submit_approx`] answers with a budgeted
+//! * The **approximate tier** (`kspr-approx`) answers one-shot queries:
+//!   [`ServeHandle::submit_approx`] answers with a budgeted
 //!   market-impact estimate (consecutive approximate submissions batch into
 //!   one shared sampling sweep, separately from exact queries),
 //!   [`ServeHandle::submit_tiered`] accepts a per-request [`kspr::QueryTier`]
 //!   (`Auto` is routed by the dispatcher's arrangement-cost estimate and
-//!   counted in [`ServeStats`]), and [`ServeHandle::subscribe_approx`] keeps
-//!   a standing estimate honest across updates by re-drawing it only when an
-//!   update possibly moved the true impact.
+//!   counted in [`ServeStats`]).  Standing queries are exact only.
 //!
 //! The service itself is layered (each layer its own module):
 //!
 //! * **wire** ([`net::NetServer`] + the `kspr-wire` codec) — a blocking TCP
 //!   front-end; each connection is its own admission client.
 //! * **admission** ([`AdmissionOptions`]) — queries are stamped with the
-//!   pending-queue depth and their client's in-flight count at enqueue and
+//!   pending-queue depth and their client's queued-query count at enqueue and
 //!   judged at dispatch: past the degradation watermark, tier-dispatched
 //!   queries are downgraded to the approximate tier; past the hard limit
 //!   (or a per-client quota) they are rejected with
@@ -104,8 +102,5 @@ pub use persist::RecoverError;
 pub use server::{ServeHandle, ServeOptions, Server};
 pub use sharded::ShardedEngine;
 pub use stats::{RejectionStats, ServeStats, REJECTION_VARIANTS};
-pub use subscription::{
-    ApproxDelta, ApproxSubscribeTicket, ApproxSubscription, ApproxWatchId, SubscribeTicket,
-    Subscription, MAX_PENDING_DELTAS,
-};
+pub use subscription::{SubscribeTicket, Subscription, MAX_PENDING_DELTAS};
 pub use telemetry::FLIGHT_RECORDER_CAPACITY;

@@ -38,7 +38,7 @@
 //! serving thread; [`ServeStats`] counts every rejection per error variant.
 //!
 //! Every query is stamped at enqueue with the pending-queue depth and its
-//! client's in-flight count; the dispatcher judges the stamp against
+//! client's queued-query count; the dispatcher judges the stamp against
 //! [`AdmissionOptions`] — past the degradation watermark tier-dispatched
 //! queries are downgraded to the approximate tier, past the hard limit (or
 //! the per-client quota) they are rejected outright (see the `admission`
@@ -90,7 +90,7 @@ use crate::error::{ServeError, Ticket};
 use crate::persist::{recover_state, snapshot_of, Persist, RecoverError};
 use crate::sharded::ShardedEngine;
 use crate::stats::ServeStats;
-use crate::subscription::{ApproxSubscribeTicket, ApproxWatchId, DeltaQueue, SubscribeTicket};
+use crate::subscription::{DeltaQueue, SubscribeTicket};
 use crate::telemetry::ServeMetrics;
 use kspr::{Algorithm, ApproxImpact, ErrorBudget, KsprConfig, KsprResult, QueryTier, RecordId};
 use kspr_approx::TieredResult;
@@ -141,7 +141,7 @@ impl Default for ServeOptions {
 /// A cloneable client handle onto a running [`Server`].
 ///
 /// Clones share one admission identity (they draw from the same per-client
-/// in-flight quota); [`ServeHandle::fork_client`] starts a fresh one — the
+/// quota); [`ServeHandle::fork_client`] starts a fresh one — the
 /// TCP front-end forks per connection.
 #[derive(Clone)]
 pub struct ServeHandle {
@@ -179,7 +179,7 @@ impl ServeHandle {
     }
 
     /// A handle with a **fresh admission identity**: queries submitted
-    /// through it count against their own per-client in-flight quota, not
+    /// through it count against their own per-client quota, not
     /// this handle's.  (Plain `clone` shares the identity.)
     pub fn fork_client(&self) -> Self {
         Self {
@@ -385,50 +385,6 @@ impl ServeHandle {
     pub fn subscriptions(&self) -> Ticket<usize> {
         let (tx, ticket) = Ticket::new();
         self.enqueue(Msg::Subscriptions { tx });
-        ticket
-    }
-
-    /// Registers an **approximate standing query**: the dispatcher holds a
-    /// budgeted impact estimate for `focal` and keeps it honest across
-    /// updates — an update that provably preserves the true impact (the
-    /// `kspr-monitor` witness classifier) leaves the estimate untouched
-    /// (its interval still covers the unchanged truth); any other update
-    /// redraws the estimate and pushes an [`crate::ApproxDelta`].  Dropping
-    /// the subscription unregisters it.
-    pub fn subscribe_approx(
-        &self,
-        focal: Vec<f64>,
-        k: usize,
-        budget: ErrorBudget,
-    ) -> ApproxSubscribeTicket {
-        let queue = DeltaQueue::new();
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(Msg::SubscribeApprox {
-            focal,
-            k,
-            budget,
-            deltas: Arc::clone(&queue),
-            tx,
-        });
-        ApproxSubscribeTicket {
-            rx,
-            deltas: queue,
-            control: self.tx.clone(),
-        }
-    }
-
-    /// Unregisters an approximate standing query by id; resolves to whether
-    /// it was still registered.
-    pub fn unsubscribe_approx(&self, id: ApproxWatchId) -> Ticket<bool> {
-        let (tx, ticket) = Ticket::new();
-        self.enqueue(Msg::UnsubscribeApprox { id, tx: Some(tx) });
-        ticket
-    }
-
-    /// Number of currently registered approximate standing queries.
-    pub fn approx_subscriptions(&self) -> Ticket<usize> {
-        let (tx, ticket) = Ticket::new();
-        self.enqueue(Msg::ApproxSubscriptions { tx });
         ticket
     }
 
@@ -1117,7 +1073,7 @@ mod tests {
         );
         assert_eq!(
             handle
-                .subscribe_approx(vec![f64::NAN, 0.5, 0.7], 2, budget)
+                .submit_approx(vec![f64::NAN, 0.5, 0.7], 2, budget)
                 .wait()
                 .unwrap_err(),
             ServeError::NonFinite
@@ -1191,9 +1147,16 @@ mod tests {
                 ServeError::InvalidBudget
             );
         }
+        // The Auto tier may route to the sampler, so its budget is checked
+        // too, before any cost probe.
         assert_eq!(
             handle
-                .subscribe_approx(vec![0.5, 0.5, 0.7], 2, too_fine)
+                .submit_tiered(
+                    Algorithm::LpCta,
+                    vec![0.5, 0.5, 0.7],
+                    2,
+                    QueryTier::auto(too_fine)
+                )
                 .wait()
                 .unwrap_err(),
             ServeError::InvalidBudget
@@ -1211,55 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_subscriptions_redraw_only_when_the_impact_can_move() {
-        use kspr::ErrorBudget;
-        let server = Server::start(
-            ShardedEngine::empty(2, KsprConfig::default().with_shards(2)),
-            ServeOptions::default(),
-        );
-        let handle = server.handle();
-        let budget = ErrorBudget::new(0.1, 0.9);
-        let sub = handle
-            .subscribe_approx(vec![0.5, 0.5], 1, budget)
-            .wait()
-            .expect("subscribe");
-        assert_eq!(sub.initial().impact, 1.0, "no competitor: certain top-1");
-
-        // A dominator definitely moves the impact: the estimate is redrawn.
-        let id = handle.insert(vec![0.9, 0.9]).wait().expect("insert");
-        let delta = sub.recv().expect("dominator insert notifies");
-        assert_eq!(delta.query, sub.id());
-        assert_eq!(delta.before.impact, 1.0);
-        assert_eq!(delta.after.impact, 0.0, "a dominator ends every top-1 hope");
-
-        // An update the focal record dominates is witnessed away: no
-        // notification, counted as unaffected.
-        let invisible = handle.insert(vec![0.1, 0.1]).wait().expect("insert");
-        assert_eq!(handle.delete(invisible).wait(), Ok(true));
-        // Serialize behind the updates before polling.
-        assert_eq!(handle.approx_subscriptions().wait(), Ok(1));
-        assert!(
-            sub.poll().is_empty(),
-            "impact-preserving updates must not redraw"
-        );
-
-        // Deleting the dominator moves the impact back; redrawn again.
-        assert_eq!(handle.delete(id).wait(), Ok(true));
-        let delta = sub.recv().expect("dominator delete notifies");
-        assert_eq!(delta.after.impact, 1.0);
-
-        drop(sub);
-        assert_eq!(handle.approx_subscriptions().wait(), Ok(0), "drop frees");
-        let (_, stats) = server.shutdown();
-        assert_eq!(stats.approx_subscriptions, 1);
-        assert_eq!(stats.approx_notifications, 2);
-        assert_eq!(
-            stats.approx_watch_unaffected, 2,
-            "the invisible insert + delete classified away"
-        );
-    }
-
-    #[test]
     fn update_bursts_share_one_maintenance_pass_within_the_window() {
         use kspr::ErrorBudget;
         let server = Server::start(
@@ -1271,29 +1185,31 @@ mod tests {
             .subscribe(vec![0.9, 0.9], 1)
             .wait()
             .expect("subscribe");
-        // A live competitor, so the approximate registration below actually
+        // A live competitor, so the approximate estimate below actually
         // samples (an empty pool short-circuits without work).
         handle.insert(vec![0.5, 0.5]).wait().expect("first insert");
-        // Block the dispatcher on an expensive approximate registration
+        // Block the dispatcher on an expensive approximate estimate
         // (hundreds of thousands of samples) so the update burst below is
         // fully queued before the dispatcher sees its first insert.
-        let blocker = handle.subscribe_approx(vec![0.95, 0.95], 1, ErrorBudget::new(0.002, 0.99));
+        let blocker =
+            handle
+                .fork_client()
+                .submit_approx(vec![0.95, 0.95], 1, ErrorBudget::new(0.002, 0.99));
         let burst = crate::MAINTENANCE_WINDOW + 8;
         let tickets: Vec<_> = (0..burst)
             .map(|i| handle.insert(vec![0.1 + 0.01 * i as f64, 0.2]))
             .collect();
-        let approx_sub = blocker.wait().expect("approx subscribe");
+        blocker.wait().expect("blocker estimate");
         for t in tickets {
             t.wait().expect("burst insert");
         }
-        // Every burst insert is dominated by the standing focal points, so
-        // both registries classify them away without result changes.
+        // Every burst insert is dominated by the standing focal point, so
+        // the monitor classifies them away without result changes.
         assert_eq!(handle.subscriptions().wait(), Ok(1));
         assert!(
             sub.poll().is_empty(),
             "focal-dominated inserts never notify"
         );
-        drop(approx_sub);
         drop(sub);
         let (_, stats) = server.shutdown();
         let updates = 1 + burst as u64;
@@ -1312,51 +1228,6 @@ mod tests {
         assert_eq!(stats.monitor.classified(), updates);
         assert_eq!(stats.monitor.unaffected, updates);
         assert_eq!(stats.notifications, 0);
-    }
-
-    #[test]
-    fn approx_watches_redraw_once_per_update_batch() {
-        use kspr::ErrorBudget;
-        let server = Server::start(
-            ShardedEngine::empty(2, KsprConfig::default().with_shards(2)),
-            ServeOptions::default(),
-        );
-        let handle = server.handle();
-        // A live competitor the watched focal record dominates, so the
-        // blocker below actually samples.
-        handle.insert(vec![0.3, 0.3]).wait().expect("first insert");
-        let sub = handle
-            .subscribe_approx(vec![0.5, 0.5], 1, ErrorBudget::new(0.1, 0.9))
-            .wait()
-            .expect("subscribe");
-        assert_eq!(sub.initial().impact, 1.0);
-        // Block the dispatcher on an expensive approximate registration so
-        // the burst below is fully queued and drains as one batch.
-        let blocker = handle.subscribe_approx(vec![0.95, 0.95], 1, ErrorBudget::new(0.002, 0.99));
-        // Four mutually incomparable inserts, each dominating the watched
-        // focal record (and each dominated by the blocker's).
-        let tickets: Vec<_> = [[0.6, 0.9], [0.7, 0.8], [0.8, 0.7], [0.9, 0.6]]
-            .iter()
-            .map(|values| handle.insert(values.to_vec()))
-            .collect();
-        let blocker = blocker.wait().expect("blocker subscribe");
-        for t in tickets {
-            t.wait().expect("burst insert");
-        }
-        assert_eq!(handle.approx_subscriptions().wait(), Ok(2));
-        let deltas = sub.poll();
-        assert_eq!(deltas.len(), 1, "one redraw for the whole drained batch");
-        assert_eq!(deltas[0].before.impact, 1.0, "the pre-batch estimate");
-        assert_eq!(deltas[0].after.impact, 0.0, "the post-batch estimate");
-        drop(blocker);
-        drop(sub);
-        let (_, stats) = server.shutdown();
-        assert_eq!(stats.update_batches, 2, "the burst drained as one batch");
-        assert_eq!(stats.approx_notifications, 1);
-        assert_eq!(
-            stats.approx_watch_unaffected, 4,
-            "every (burst insert, blocker) pair is classified away"
-        );
     }
 
     #[test]
@@ -1466,9 +1337,9 @@ mod tests {
         use crate::error::Ticket as T;
         let server = Server::start(demo_engine(2), ServeOptions::default());
         let handle = server.handle();
-        // Hold the dispatcher busy on an expensive approximate registration
-        // so everything below is queued before it reads another message.
-        let blocker = handle.subscribe_approx(
+        // Hold the dispatcher busy on an expensive approximate estimate so
+        // everything below is queued before it reads another message.
+        let blocker = handle.fork_client().submit_approx(
             vec![0.95, 0.95, 0.95],
             1,
             kspr::ErrorBudget::new(0.002, 0.99),
@@ -1591,12 +1462,19 @@ mod tests {
         let server = Server::start(demo_engine(2), options);
         let handle = server.handle();
         // Hold the dispatcher busy so both submissions below are stamped
-        // while queued: the second exceeds its client's in-flight quota.
-        let blocker = handle.subscribe_approx(
+        // while queued: the second exceeds its client's quota.  The blocker
+        // comes from its own client, so it does not count against that
+        // quota.
+        let blocker = handle.fork_client().submit_approx(
             vec![0.95, 0.95, 0.95],
             1,
             kspr::ErrorBudget::new(0.002, 0.99),
         );
+        // A non-query request ends the dispatcher's drain of consecutive
+        // queries, so the submissions below never join the blocker's batch
+        // (routing the first there would release its stamp before the
+        // second one is stamped).
+        let barrier = handle.subscriptions();
         let first = handle.submit(vec![0.5, 0.5, 0.7], 2);
         let second = handle.submit(vec![0.5, 0.5, 0.7], 2);
         // A forked client has its own quota: its query is untouched by the
@@ -1605,11 +1483,12 @@ mod tests {
         assert!(first.wait().is_ok(), "within quota");
         assert_eq!(second.wait().unwrap_err(), ServeError::QuotaExceeded);
         assert!(neighbour.wait().is_ok(), "quotas are per client");
-        drop(blocker.wait().expect("approx subscribe"));
+        blocker.wait().expect("blocker estimate");
+        assert_eq!(barrier.wait(), Ok(0));
         let (_, stats) = server.shutdown();
         assert_eq!(stats.rejections.quota_exceeded, 1);
         assert_eq!(stats.rejections.total(), stats.rejected);
-        assert_eq!(stats.queries, 2);
+        assert_eq!(stats.queries, 3, "the blocker and the two admitted queries");
     }
 
     #[test]

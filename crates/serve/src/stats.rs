@@ -26,7 +26,7 @@ pub struct RejectionStats {
     /// its hard depth limit (see [`crate::AdmissionOptions::hard_limit`]).
     pub overloaded: u64,
     /// Queries admission control turned away: the submitting client was
-    /// past its in-flight quota (see
+    /// past its quota of queued queries (see
     /// [`crate::AdmissionOptions::client_quota`]).
     pub quota_exceeded: u64,
     /// Requests still pending when the server shut down, drained and
@@ -194,14 +194,6 @@ pub struct ServeStats {
     /// subscriber let its queue reach [`crate::MAX_PENDING_DELTAS`] (a
     /// subset of `notifications`).
     pub deltas_coalesced: u64,
-    /// Approximate standing queries registered over the server's lifetime.
-    pub approx_subscriptions: u64,
-    /// [`crate::ApproxDelta`] notifications (re-drawn estimates) delivered.
-    pub approx_notifications: u64,
-    /// (update, approximate standing query) pairs whose estimate stayed
-    /// valid because the update provably preserved the true impact (the
-    /// witness classifier of `kspr-monitor`).
-    pub approx_watch_unaffected: u64,
     /// Standing-query maintenance passes that panicked after a committed
     /// update.  Each one invalidated the registry (subscribers must
     /// re-subscribe); the update itself succeeded, so these are *not*

@@ -3,72 +3,19 @@
 
 use crate::dispatch::Msg;
 use crate::error::ServeError;
-use kspr::{ApproxImpact, ErrorBudget, KsprResult};
+use kspr::KsprResult;
 use kspr_monitor::{QueryId, ResultDelta, UpdateClass};
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 
-/// Identifier of an approximate standing query (dense, never reused;
-/// separate id space from the exact registry's [`QueryId`]).
-pub type ApproxWatchId = u64;
-
-/// Change notification of an approximate standing query: the estimate was
-/// redrawn because an update possibly moved the true impact.
-#[derive(Debug, Clone)]
-pub struct ApproxDelta {
-    /// The approximate standing query that was re-estimated.
-    pub query: ApproxWatchId,
-    /// The estimate before the update.
-    pub before: ApproxImpact,
-    /// The freshly drawn estimate, valid for the post-update state.
-    pub after: ApproxImpact,
-}
-
-/// One approximate standing query held by the dispatcher: the request, the
-/// current estimate, and the delta channel.
-pub(crate) struct ApproxStanding {
-    pub(crate) focal: Vec<f64>,
-    pub(crate) k: usize,
-    pub(crate) budget: ErrorBudget,
-    pub(crate) estimate: ApproxImpact,
-    pub(crate) deltas: Arc<DeltaQueue<ApproxDelta>>,
-}
-
-/// Upper bound on the deltas a single [`Subscription`] or
-/// [`ApproxSubscription`] may hold pending.  A subscriber that stops
-/// draining its notifications would otherwise grow dispatcher memory without
-/// bound (the dispatcher keeps emitting deltas for every update batch); past
-/// this bound newer deltas are **coalesced** into the newest pending one
-/// instead of enqueued — deltas chain (`after` of one is `before` of the
-/// next), so merging keeps the oldest `before` and newest `after` state and
-/// loses nothing but the intermediate steps.
+/// Upper bound on the deltas a single [`Subscription`] may hold pending.  A
+/// subscriber that stops draining its notifications would otherwise grow
+/// dispatcher memory without bound (the dispatcher keeps emitting deltas
+/// for every update batch); past this bound newer deltas are **coalesced**
+/// into the newest pending one instead of enqueued — deltas chain (`after`
+/// of one is `before` of the next), so merging keeps the oldest `before`
+/// and newest `after` state and loses nothing but the intermediate steps.
 pub const MAX_PENDING_DELTAS: usize = 64;
-
-/// A notification a [`DeltaQueue`] can merge into its predecessor once the
-/// subscriber has fallen [`MAX_PENDING_DELTAS`] behind.
-pub(crate) trait Coalesce {
-    /// Absorbs `newer`, the next delta of the same standing query: keeps
-    /// `self`'s (oldest) `before` state and takes `newer`'s `after` state.
-    fn coalesce(&mut self, newer: Self);
-}
-
-impl Coalesce for ResultDelta {
-    fn coalesce(&mut self, newer: Self) {
-        // A re-run anywhere in the merged span means the surviving state
-        // was obtained through a re-run.
-        if newer.class == UpdateClass::Rerun {
-            self.class = UpdateClass::Rerun;
-        }
-        self.regions_after = newer.regions_after;
-        self.ranks_after = newer.ranks_after;
-    }
-}
-
-impl Coalesce for ApproxDelta {
-    fn coalesce(&mut self, newer: Self) {
-        self.after = newer.after;
-    }
-}
 
 /// Outcome of a [`DeltaQueue::push`].
 pub(crate) enum DeltaPush {
@@ -83,19 +30,18 @@ pub(crate) enum DeltaPush {
 }
 
 /// The per-subscription notification queue: a bounded, coalescing channel
-/// between the dispatcher (producer) and a [`Subscription`] or
-/// [`ApproxSubscription`] (consumer).
-pub(crate) struct DeltaQueue<D> {
-    state: Mutex<DeltaQueueState<D>>,
+/// between the dispatcher (producer) and a [`Subscription`] (consumer).
+pub(crate) struct DeltaQueue {
+    state: Mutex<DeltaQueueState>,
     ready: Condvar,
 }
 
-struct DeltaQueueState<D> {
-    pending: VecDeque<D>,
+struct DeltaQueueState {
+    pending: VecDeque<ResultDelta>,
     closed: bool,
 }
 
-impl<D: Coalesce> DeltaQueue<D> {
+impl DeltaQueue {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
             state: Mutex::new(DeltaQueueState {
@@ -108,18 +54,22 @@ impl<D: Coalesce> DeltaQueue<D> {
 
     /// Enqueues a delta, coalescing it into the newest pending one when the
     /// subscriber has fallen [`MAX_PENDING_DELTAS`] behind.
-    pub(crate) fn push(&self, delta: D) -> DeltaPush {
+    pub(crate) fn push(&self, delta: ResultDelta) -> DeltaPush {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.closed {
             return DeltaPush::Closed;
         }
         let outcome = if state.pending.len() >= MAX_PENDING_DELTAS {
-            // Consecutive deltas of one query chain exactly.
-            state
-                .pending
-                .back_mut()
-                .expect("the cap is at least 1")
-                .coalesce(delta);
+            // Consecutive deltas of one query chain exactly: keep the oldest
+            // `before` state and take the newest `after` state.  A re-run
+            // anywhere in the merged span means the surviving state was
+            // obtained through a re-run.
+            let newest = state.pending.back_mut().expect("the cap is at least 1");
+            if delta.class == UpdateClass::Rerun {
+                newest.class = UpdateClass::Rerun;
+            }
+            newest.regions_after = delta.regions_after;
+            newest.ranks_after = delta.ranks_after;
             DeltaPush::Coalesced
         } else {
             state.pending.push_back(delta);
@@ -140,7 +90,7 @@ impl<D: Coalesce> DeltaQueue<D> {
     }
 
     /// Non-blocking pop.
-    pub(crate) fn try_pop(&self) -> Option<D> {
+    pub(crate) fn try_pop(&self) -> Option<ResultDelta> {
         self.state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -149,7 +99,7 @@ impl<D: Coalesce> DeltaQueue<D> {
     }
 
     /// Blocks until a delta is pending (or the queue closes: `None`).
-    pub(crate) fn pop(&self) -> Option<D> {
+    pub(crate) fn pop(&self) -> Option<ResultDelta> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(delta) = state.pending.pop_front() {
@@ -170,7 +120,7 @@ impl<D: Coalesce> DeltaQueue<D> {
 /// (and initially answered) the standing query.
 pub struct SubscribeTicket {
     pub(crate) rx: mpsc::Receiver<Result<(QueryId, KsprResult), ServeError>>,
-    pub(crate) deltas: Arc<DeltaQueue<ResultDelta>>,
+    pub(crate) deltas: Arc<DeltaQueue>,
     pub(crate) control: mpsc::Sender<Msg>,
 }
 
@@ -204,7 +154,7 @@ impl SubscribeTicket {
 pub struct Subscription {
     id: QueryId,
     initial: KsprResult,
-    deltas: Arc<DeltaQueue<ResultDelta>>,
+    deltas: Arc<DeltaQueue>,
     control: mpsc::Sender<Msg>,
 }
 
@@ -254,95 +204,6 @@ impl Drop for Subscription {
         // Fire-and-forget: if the server is already gone the registry died
         // with it.
         let _ = self.control.send(Msg::Unsubscribe {
-            id: self.id,
-            tx: None,
-        });
-    }
-}
-
-/// A pending [`ApproxSubscription`]: resolves once the dispatcher has
-/// registered (and initially estimated) the approximate standing query.
-pub struct ApproxSubscribeTicket {
-    pub(crate) rx: mpsc::Receiver<Result<(ApproxWatchId, ApproxImpact), ServeError>>,
-    pub(crate) deltas: Arc<DeltaQueue<ApproxDelta>>,
-    pub(crate) control: mpsc::Sender<Msg>,
-}
-
-impl ApproxSubscribeTicket {
-    /// Blocks until the standing query is registered (or rejected).
-    pub fn wait(self) -> Result<ApproxSubscription, ServeError> {
-        match self.rx.recv() {
-            Ok(Ok((id, initial))) => Ok(ApproxSubscription {
-                id,
-                initial,
-                deltas: self.deltas,
-                control: self.control,
-            }),
-            Ok(Err(err)) => Err(err),
-            Err(mpsc::RecvError) => Err(ServeError::ServerClosed),
-        }
-    }
-}
-
-/// A live approximate standing query: holds the initial estimate and
-/// receives an [`ApproxDelta`] for every update batch that forced a
-/// re-draw.
-///
-/// At most [`MAX_PENDING_DELTAS`] notifications are held pending; a slower
-/// consumer's oldest backlog steps are merged together, as for
-/// [`Subscription`].
-///
-/// Dropping the subscription unregisters the standing query with the
-/// dispatcher, freeing its maintenance state.
-pub struct ApproxSubscription {
-    id: ApproxWatchId,
-    initial: ApproxImpact,
-    deltas: Arc<DeltaQueue<ApproxDelta>>,
-    control: mpsc::Sender<Msg>,
-}
-
-impl std::fmt::Debug for ApproxSubscription {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ApproxSubscription")
-            .field("id", &self.id)
-            .field("initial_impact", &self.initial.impact)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ApproxSubscription {
-    /// The standing query's registry id (usable with
-    /// [`crate::ServeHandle::unsubscribe_approx`]).
-    pub fn id(&self) -> ApproxWatchId {
-        self.id
-    }
-
-    /// The estimate at registration time; later states arrive as deltas.
-    pub fn initial(&self) -> &ApproxImpact {
-        &self.initial
-    }
-
-    /// Drains every notification delivered so far without blocking.
-    pub fn poll(&self) -> Vec<ApproxDelta> {
-        let mut out = Vec::new();
-        while let Some(delta) = self.deltas.try_pop() {
-            out.push(delta);
-        }
-        out
-    }
-
-    /// Blocks until the next notification; `None` means this subscription
-    /// will never be notified again (server shutdown, or a failed
-    /// maintenance pass invalidated the approximate registry — re-subscribe
-    /// to resume watching).
-    pub fn recv(&self) -> Option<ApproxDelta> {
-        self.deltas.pop()
-    }
-}
-
-impl Drop for ApproxSubscription {
-    fn drop(&mut self) {
-        let _ = self.control.send(Msg::UnsubscribeApprox {
             id: self.id,
             tx: None,
         });
@@ -419,49 +280,6 @@ mod tests {
             queue.push(delta(1, UpdateClass::Patched)),
             DeltaPush::Closed
         ));
-        assert!(queue.pop().is_some(), "drained before the closed marker");
-        assert!(queue.pop().is_none());
-    }
-
-    #[test]
-    fn approx_delta_queue_caps_and_coalesces_slow_consumers() {
-        let queue = DeltaQueue::new();
-        // `samples` tags each estimate so the merged chain is checkable.
-        let estimate = |tag: usize| ApproxImpact {
-            impact: 0.5,
-            half_width: 0.05,
-            samples: tag,
-        };
-        let delta = |i: usize| ApproxDelta {
-            query: 3,
-            before: estimate(i),
-            after: estimate(i + 1),
-        };
-        for i in 0..MAX_PENDING_DELTAS {
-            assert!(matches!(queue.push(delta(i)), DeltaPush::Queued));
-        }
-        // At the cap, further deltas merge into the newest pending one.
-        for i in MAX_PENDING_DELTAS..MAX_PENDING_DELTAS + 2 {
-            assert!(matches!(queue.push(delta(i)), DeltaPush::Coalesced));
-        }
-        let mut drained = Vec::new();
-        while let Some(d) = queue.try_pop() {
-            drained.push(d);
-        }
-        assert_eq!(drained.len(), MAX_PENDING_DELTAS, "the cap held");
-        let tail = drained.last().expect("cap is at least 1");
-        assert_eq!(tail.before.samples, MAX_PENDING_DELTAS - 1, "oldest before");
-        assert_eq!(tail.after.samples, MAX_PENDING_DELTAS + 2, "newest after");
-        assert_eq!(
-            drained[drained.len() - 2].after.samples,
-            tail.before.samples,
-            "the chain is intact"
-        );
-        // Closing keeps pending deltas drainable, drops later pushes, and
-        // unblocks `pop`.
-        assert!(matches!(queue.push(delta(0)), DeltaPush::Queued));
-        queue.close();
-        assert!(matches!(queue.push(delta(1)), DeltaPush::Closed));
         assert!(queue.pop().is_some(), "drained before the closed marker");
         assert!(queue.pop().is_none());
     }

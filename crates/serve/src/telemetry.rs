@@ -86,7 +86,6 @@ live_stats! {
     counters: queries, exact_queries, approx_queries, auto_routed_exact, auto_routed_approx,
         degraded_to_approx, rejected, batches, parallel_batches, updates, update_batches,
         wal_commits, snapshots, compactions, subscriptions, notifications, deltas_coalesced,
-        approx_subscriptions, approx_notifications, approx_watch_unaffected,
         maintenance_failures;
     gauges: largest_batch, largest_intra_grant, largest_update_batch;
 }
