@@ -137,53 +137,6 @@ pub fn estimated_cost(engine: &QueryEngine, k: usize) -> f64 {
     arrangement_cost(band, work_dim)
 }
 
-/// One worker's share of a pooled estimate: raw per-focal hit counts over
-/// `samples` independent draws.  Partial estimates from independent sample
-/// streams (e.g. one per serving shard) pool by summing hit and sample
-/// counts — see [`pool_estimates`].
-#[derive(Debug, Clone)]
-pub struct PartialEstimate {
-    /// Hit count per focal record.
-    pub hits: Vec<u64>,
-    /// Number of samples drawn.
-    pub samples: usize,
-}
-
-/// Pools partial estimates from independent uniform sample streams into one
-/// [`ApproxImpact`] per focal record: hit and sample counts sum, and the
-/// combined Hoeffding interval is taken over the **total** sample count (all
-/// draws are i.i.d. uniform over the same space and score the same
-/// membership indicator, so the pooled counter is a plain Binomial in the
-/// pooled sample size).
-///
-/// # Panics
-/// Panics if `partials` is empty, the partials disagree on the focal count,
-/// or the total sample count is zero.
-pub fn pool_estimates(partials: Vec<PartialEstimate>, confidence: f64) -> Vec<ApproxImpact> {
-    let focal_count = partials
-        .first()
-        .expect("at least one partial estimate is required")
-        .hits
-        .len();
-    let total: usize = partials.iter().map(|p| p.samples).sum();
-    let half_width = hoeffding_half_width(confidence, total);
-    let mut counts = vec![0u64; focal_count];
-    for partial in partials {
-        assert_eq!(partial.hits.len(), focal_count, "focal count mismatch");
-        for (slot, count) in counts.iter_mut().zip(&partial.hits) {
-            *slot += count;
-        }
-    }
-    counts
-        .into_iter()
-        .map(|count| ApproxImpact {
-            impact: count as f64 / total as f64,
-            half_width,
-            samples: total,
-        })
-        .collect()
-}
-
 /// A Monte-Carlo kSPR sampler over an epoch-consistent dataset snapshot.
 ///
 /// Construction copies the candidate attribute values into an owned columnar
@@ -292,20 +245,23 @@ impl ApproxEngine {
         seed: u64,
     ) -> Vec<ApproxImpact> {
         let samples = budget.samples();
+        // Validates the request shape even for an empty batch.
+        let half_width = hoeffding_half_width(budget.confidence, samples);
         if focals.is_empty() {
-            // Still validate the request shape.
-            let _ = hoeffding_half_width(budget.confidence, samples);
             return Vec::new();
         }
-        pool_estimates(
-            vec![self.sample_batch(focals, samples, seed)],
-            budget.confidence,
-        )
+        self.sample_batch(focals, samples, seed)
+            .into_iter()
+            .map(|hits| ApproxImpact {
+                impact: hits as f64 / samples as f64,
+                half_width,
+                samples,
+            })
+            .collect()
     }
 
     /// Draws `samples` preference vectors from `seed` and probes every focal
-    /// record against each, returning the raw per-focal hit counts — the
-    /// poolable building block of an estimate (see [`pool_estimates`]).  The
+    /// record against each, returning the hit count per focal record.  The
     /// sweep shares the per-sample candidate scoring across the batch and
     /// parallelizes over chunks of the sample stream; chunk results merge in
     /// stream order, so the outcome is independent of the worker count.
@@ -313,7 +269,7 @@ impl ApproxEngine {
     /// # Panics
     /// Panics if `samples == 0` or any focal arity does not match the
     /// dataset.
-    pub fn sample_batch(&self, focals: &[Vec<f64>], samples: usize, seed: u64) -> PartialEstimate {
+    fn sample_batch(&self, focals: &[Vec<f64>], samples: usize, seed: u64) -> Vec<u64> {
         assert!(samples > 0, "at least one sample is required");
         for focal in focals {
             assert_eq!(
@@ -340,10 +296,7 @@ impl ApproxEngine {
                 *total += count;
             }
         }
-        PartialEstimate {
-            hits: counts,
-            samples,
-        }
+        counts
     }
 
     /// Scores one chunk of samples against the candidate set: per sample,
@@ -415,7 +368,7 @@ mod tests {
     /// `seed` draws: a one-sample probe, so equal probes over many seeds
     /// compare individual sampling decisions, not just their totals.
     fn probe(sampler: &ApproxEngine, focals: &[Vec<f64>], seed: u64) -> Vec<u64> {
-        sampler.sample_batch(focals, 1, seed).hits
+        sampler.sample_batch(focals, 1, seed)
     }
 
     const PROBE_SEEDS: std::ops::Range<u64> = 0..200;

@@ -11,33 +11,23 @@
 //!   every section found in the file is checked.
 //!
 //! Checks, per section: the section parses as a JSON object, carries a
-//! `"scale"` tag, and every number in it is finite.  Sections with known
-//! shapes get structural checks on top — the `telemetry` section must
-//! report every pipeline stage with live counts, the `trace` section
-//! must have retained well-formed traces and a non-empty export, and the
-//! speedup-style sections (`batch`, `update`, `approx`) must report
-//! positive timings.  Exits non-zero with a message on the first failure,
-//! so a workflow step can gate on it directly.
+//! `"scale"` tag, and every number in it is finite.  The speedup-style
+//! sections (`batch`, `update`, `approx`) get structural checks on top:
+//! they must report positive timings and drawn samples.  Exits non-zero
+//! with a message on the first failure, so a workflow step can gate on it
+//! directly.
+//!
+//! The serving pipeline's per-stage and per-phase percentiles are not
+//! sections here: they come from the client-side benchmark
+//! (`perfbench --trace 1`), and the `telemetry_loopback` / `trace_loopback`
+//! tests of `kspr-serve` assert that every stage and phase histogram is
+//! live and that `/trace` exports well-formed span trees.
 
-use kspr_telemetry::{parse_json, JsonValue, Stage};
+use kspr_telemetry::{parse_json, JsonValue};
 
 fn fail(message: impl AsRef<str>) -> ! {
     eprintln!("[check_perf] FAIL: {}", message.as_ref());
     std::process::exit(1);
-}
-
-/// Every number reachable from `value` must be finite (the emitters write
-/// plain decimal, but a NaN/inf regression would render as `NaN`/`inf` and
-/// already fail parsing — this guards the parsed tree end to end anyway).
-fn assert_finite(section: &str, value: &JsonValue) {
-    match value {
-        JsonValue::Number(n) if !n.is_finite() => {
-            fail(format!("section `{section}` contains a non-finite number"));
-        }
-        JsonValue::Array(items) => items.iter().for_each(|v| assert_finite(section, v)),
-        JsonValue::Object(members) => members.iter().for_each(|(_, v)| assert_finite(section, v)),
-        _ => {}
-    }
 }
 
 fn number(section: &str, value: &JsonValue, key: &str) -> f64 {
@@ -47,18 +37,6 @@ fn number(section: &str, value: &JsonValue, key: &str) -> f64 {
         .unwrap_or_else(|| fail(format!("section `{section}` is missing numeric `{key}`")))
 }
 
-/// The pipeline stages the `telemetry` section must report: every
-/// [`Stage`], so a stage added later is checked without editing this file.
-fn required_stages() -> impl Iterator<Item = &'static str> {
-    Stage::ALL.into_iter().map(Stage::name)
-}
-
-/// The engine phases the `trace` section must report: every phase a
-/// [`kspr::Timing`] block breaks a query into.
-fn required_phases() -> impl Iterator<Item = &'static str> {
-    kspr::Timing::default().iter().map(|(name, _)| name)
-}
-
 fn check_section(name: &str, section: &JsonValue) {
     if section.as_object().is_none() {
         fail(format!("section `{name}` is not a JSON object"));
@@ -66,43 +44,10 @@ fn check_section(name: &str, section: &JsonValue) {
     if section.get("scale").and_then(|v| v.as_str()).is_none() {
         fail(format!("section `{name}` is missing its `scale` tag"));
     }
-    assert_finite(name, section);
+    if !section.is_finite() {
+        fail(format!("section `{name}` contains a non-finite number"));
+    }
     match name {
-        "telemetry" => {
-            let stages = section
-                .get("stages")
-                .unwrap_or_else(|| fail("telemetry section has no `stages` object"));
-            for stage in required_stages() {
-                let entry = stages.get(stage).unwrap_or_else(|| {
-                    fail(format!("telemetry section is missing stage `{stage}`"))
-                });
-                if number("telemetry", entry, "count") < 1.0 {
-                    fail(format!("telemetry stage `{stage}` recorded nothing"));
-                }
-            }
-        }
-        "trace" => {
-            if number(name, section, "retained_traces") < 1.0 {
-                fail("trace section retained no span trees");
-            }
-            if number(name, section, "export_events") < 1.0 {
-                fail("trace section exported no chrome-trace events");
-            }
-            if number(name, section, "export_bytes") < 2.0 {
-                fail("trace section export is empty");
-            }
-            let phases = section
-                .get("phases")
-                .unwrap_or_else(|| fail("trace section has no `phases` object"));
-            for phase in required_phases() {
-                let entry = phases
-                    .get(phase)
-                    .unwrap_or_else(|| fail(format!("trace section is missing phase `{phase}`")));
-                if number("trace", entry, "count") < 1.0 {
-                    fail(format!("trace phase `{phase}` recorded nothing"));
-                }
-            }
-        }
         "batch" => {
             let algorithms = section
                 .get("algorithms")

@@ -18,15 +18,12 @@
 //!   intra-query work-stealing CellTree expansion — single-query latency and
 //!   batch throughput vs worker count, also emitted as machine-readable
 //!   `BENCH_perf.json`), `recovery` (beyond-the-paper: WAL commit overhead
-//!   and crash-recovery replay time of the durable serving store),
-//!   `telemetry` (beyond-the-paper: per-stage latency percentiles of the
-//!   serving pipeline, measured through the `kspr-telemetry` stage traces),
-//!   `trace` (beyond-the-paper: end-to-end span tracing over the wire —
-//!   client trace ids, flight-recorder retention, engine phase histograms,
-//!   and the `/trace` chrome-trace export), or `all`.  The `approx`,
-//!   `batch`, `monitor`, `parallel`, `recovery`, `serve`, `telemetry`,
-//!   `trace`, and `update` experiments each update their own section of
+//!   and crash-recovery replay time of the durable serving store), or
+//!   `all`.  The `approx`, `batch`, `monitor`, `parallel`, `recovery`,
+//!   `serve`, and `update` experiments each update their own section of
 //!   `BENCH_perf.json`, and exit with status 1 when that write fails.
+//!   Per-stage and per-phase latency percentiles of the serving pipeline
+//!   come from the client-side benchmark (`perfbench --trace 1`).
 //! * `[scale]` is `quick` (default) or `full`; the parameter values for each
 //!   scale are documented in `EXPERIMENTS.md`.
 //! * `parallel` accepts an optional third argument: a comma-separated
@@ -42,6 +39,7 @@ use kspr_bench::{fmt_secs, measure, measure_batch, Scale, Workload};
 use kspr_datagen::Distribution;
 use kspr_geometry::{ConstraintSystem, Hyperplane, Polytope, Sign};
 use kspr_spatial::{AggregateRTree, IoCostModel, Record};
+use kspr_telemetry::JsonValue;
 use std::time::Instant;
 
 fn main() {
@@ -82,35 +80,11 @@ fn run_experiment(which: &str, scale: Scale, extra: Option<&str>) {
         "approx" => approx(scale),
         "parallel" => parallel(scale, extra),
         "recovery" => recovery(scale),
-        "telemetry" => telemetry(scale),
-        "trace" => trace(scale),
         "all" => {
             for e in [
-                "fig9",
-                "fig10a",
-                "fig10b",
-                "fig11",
-                "fig12",
-                "fig13",
-                "fig14",
-                "fig15",
-                "fig16",
-                "fig17",
-                "fig18",
-                "fig19",
-                "fig20",
-                "fig22",
-                "fig23",
-                "fig24",
-                "batch",
-                "update",
-                "serve",
-                "monitor",
-                "approx",
-                "parallel",
-                "recovery",
-                "telemetry",
-                "trace",
+                "fig9", "fig10a", "fig10b", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+                "fig17", "fig18", "fig19", "fig20", "fig22", "fig23", "fig24", "batch", "update",
+                "serve", "monitor", "approx", "parallel", "recovery",
             ] {
                 run_experiment(e, scale, None);
                 println!();
@@ -833,18 +807,8 @@ fn batch(scale: Scale) {
     );
     let focals = w.focals(queries);
     let config = KsprConfig::default();
-    let mut body = String::from("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!(
-        "    \"n\": {},\n    \"d\": {},\n    \"k\": {},\n    \"queries\": {},\n",
-        p.n_default,
-        p.d_default,
-        p.k_default,
-        focals.len()
-    ));
-    body.push_str("    \"algorithms\": {\n");
-    let algorithms = [Algorithm::Pcta, Algorithm::LpCta];
-    for (i, alg) in algorithms.into_iter().enumerate() {
+    let mut rows = Vec::new();
+    for alg in [Algorithm::Pcta, Algorithm::LpCta] {
         let seq = measure(alg, &w.dataset, &focals, p.k_default, &config);
         let batch = measure_batch(alg, &w.dataset, &focals, p.k_default, &config);
         let seq_total = seq.avg_time.as_secs_f64() * focals.len() as f64;
@@ -858,16 +822,27 @@ fn batch(scale: Scale) {
             batch_total,
             speedup,
         );
-        body.push_str(&format!(
-            "      \"{}\": {{\"sequential_secs\": {seq_total:.6}, \"batch_secs\": \
-             {batch_total:.6}, \"speedup\": {speedup:.4}}}{}\n",
+        rows.push((
             alg.label(),
-            if i + 1 == algorithms.len() { "" } else { "," },
+            JsonValue::object([
+                ("sequential_secs", seq_total.into()),
+                ("batch_secs", batch_total.into()),
+                ("speedup", speedup.into()),
+            ]),
         ));
     }
-    body.push_str("    }\n  }");
     println!("expected shape: speedup approaches the core count for CPU-bound workloads");
-    emit("batch", &body);
+    emit(
+        "batch",
+        scale,
+        [
+            ("n", p.n_default.into()),
+            ("d", p.d_default.into()),
+            ("k", p.k_default.into()),
+            ("queries", focals.len().into()),
+            ("algorithms", JsonValue::object(rows)),
+        ],
+    );
 }
 
 fn update(scale: Scale) {
@@ -898,15 +873,8 @@ fn update(scale: Scale) {
         "{:<14} {:>8} {:>18} {:>18} {:>10}",
         "query mix", "queries", "incremental (s)", "rebuild (s)", "speedup"
     );
-    let mut body = String::from("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {},\n    \"k\": {k},\n    \"rounds\": {rounds},\n",
-        p.d_default
-    ));
-    body.push_str("    \"mixes\": {\n");
-    let num_mixes = mixes.len();
-    for (i, (label, focals)) in mixes.into_iter().enumerate() {
+    let mut rows = Vec::new();
+    for (label, focals) in mixes {
         let cmp = kspr_bench::measure_update_cycles(
             &w,
             &focals,
@@ -933,18 +901,27 @@ fn update(scale: Scale) {
             cmp.rebuild,
             cmp.speedup(),
         );
-        body.push_str(&format!(
-            "      \"{label}\": {{\"queries\": {}, \"incremental_secs\": {:.6}, \
-             \"rebuild_secs\": {:.6}, \"speedup\": {:.4}}}{}\n",
-            focals.len(),
-            cmp.incremental,
-            cmp.rebuild,
-            cmp.speedup(),
-            if i + 1 == num_mixes { "" } else { "," },
+        rows.push((
+            label,
+            JsonValue::object([
+                ("queries", focals.len().into()),
+                ("incremental_secs", cmp.incremental.into()),
+                ("rebuild_secs", cmp.rebuild.into()),
+                ("speedup", cmp.speedup().into()),
+            ]),
         ));
     }
-    body.push_str("    }\n  }");
-    emit("update", &body);
+    emit(
+        "update",
+        scale,
+        [
+            ("n", n.into()),
+            ("d", p.d_default.into()),
+            ("k", k.into()),
+            ("rounds", rounds.into()),
+            ("mixes", JsonValue::object(rows)),
+        ],
+    );
     println!(
         "expected shape: incremental maintenance is O(log n + band) per insert / non-band delete \
          (a band-member delete adds one targeted O(n) promotion scan) vs O(n log n + n k) per \
@@ -1026,7 +1003,7 @@ fn serve(scale: Scale) {
         "front-end   {:<8} {:>10} {:>12} {:>16} {:>14}",
         "shards", "queries", "updates", "elapsed (s)", "qps"
     );
-    let mut points: Vec<(usize, usize, f64, u64, u64)> = Vec::new();
+    let mut points = Vec::new();
     let mut last_tombstones = (0usize, 0.0f64);
     for shards in [1usize, 2, 4, 8] {
         let engine = ShardedEngine::new(w.raw.clone(), KsprConfig::default().with_shards(shards));
@@ -1053,13 +1030,13 @@ fn serve(scale: Scale) {
             "            {:<8} {:>10} {:>12} {:>16.3} {:>14.1}",
             shards, answered, stats.updates, elapsed, qps
         );
-        points.push((
-            shards,
-            answered,
-            qps,
-            stats.batches,
-            stats.largest_batch as u64,
-        ));
+        points.push(JsonValue::object([
+            ("shards", shards.into()),
+            ("queries", answered.into()),
+            ("qps", qps.into()),
+            ("run_batch_calls", stats.batches.into()),
+            ("largest_batch", stats.largest_batch.into()),
+        ]));
         last_tombstones = (engine.tombstone_count(), engine.tombstone_ratio());
     }
     report_tombstones(last_tombstones.0, last_tombstones.1);
@@ -1109,57 +1086,35 @@ fn serve(scale: Scale) {
          per-shard k-skybands — >= 1.5x at 4 shards on the steady-state batch workload; \
          competitive queries are arrangement-bound, so their gain is small"
     );
-    write_bench_perf_serve(
+    emit(
+        "serve",
         scale,
-        n,
-        p.d_default,
-        k,
-        &points,
-        burst,
-        degraded_stats.degraded_to_approx,
-        shed_stats.rejections.overloaded,
+        [
+            ("n", n.into()),
+            ("d", p.d_default.into()),
+            ("k", k.into()),
+            ("algorithm", "LPCTA".into()),
+            (
+                "workload",
+                "submit_many batches interleaved with insert/delete pairs".into(),
+            ),
+            ("shard_scaling", JsonValue::Array(points)),
+            (
+                "admission",
+                JsonValue::object([
+                    ("burst", burst.into()),
+                    (
+                        "degraded_to_approx",
+                        degraded_stats.degraded_to_approx.into(),
+                    ),
+                    (
+                        "rejected_overloaded",
+                        shed_stats.rejections.overloaded.into(),
+                    ),
+                ]),
+            ),
+        ],
     );
-}
-
-/// Emits the `serve` experiment's front-end sweep into the `"serve"` section
-/// of `BENCH_perf.json`: wire-facing qps per shard count plus the admission
-/// counters of the degradation / load-shedding demos.
-#[allow(clippy::too_many_arguments)]
-fn write_bench_perf_serve(
-    scale: Scale,
-    n: usize,
-    d: usize,
-    k: usize,
-    points: &[(usize, usize, f64, u64, u64)],
-    burst: usize,
-    degraded: u64,
-    shed: u64,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    out.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {d},\n    \"k\": {k},\n"
-    ));
-    out.push_str("    \"algorithm\": \"LPCTA\",\n");
-    out.push_str(
-        "    \"workload\": \"submit_many batches interleaved with insert/delete pairs\",\n",
-    );
-    out.push_str("    \"shard_scaling\": [\n");
-    for (i, (shards, queries, qps, batches, largest)) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"shards\": {shards}, \"queries\": {queries}, \"qps\": {qps:.3}, \
-             \"run_batch_calls\": {batches}, \"largest_batch\": {largest}}}{}\n",
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"admission\": {{\"burst\": {burst}, \"degraded_to_approx\": {degraded}, \
-         \"rejected_overloaded\": {shed}}}\n"
-    ));
-    out.push_str("  }");
-    emit("serve", &out);
 }
 
 /// The `recovery` experiment: what durability costs while serving (WAL
@@ -1174,7 +1129,7 @@ fn recovery(scale: Scale) {
     );
     let p = params(scale);
     let (n, updates, standing) = match scale {
-        Scale::Quick => (2_000, 300, 8),
+        Scale::Quick => (2_000, 300usize, 8),
         Scale::Full => (20_000, 3_000, 64),
     };
     let w = Workload::synthetic(Distribution::Independent, n, p.d_default, p.k_default, 177);
@@ -1285,364 +1240,25 @@ fn recovery(scale: Scale) {
          write+fsync per update batch); recovery is replay-bound, linear in the WAL tail"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    write_bench_perf_recovery(
+    emit(
+        "recovery",
         scale,
-        n,
-        p.d_default,
-        updates,
-        volatile_secs,
-        durable_secs,
-        stats.wal_commits,
-        wal_bytes,
-        standing,
-        recover_secs,
+        [
+            ("n", n.into()),
+            ("d", p.d_default.into()),
+            ("updates", updates.into()),
+            ("volatile_secs", volatile_secs.into()),
+            ("durable_secs", durable_secs.into()),
+            (
+                "durable_overhead",
+                (durable_secs / volatile_secs.max(1e-12)).into(),
+            ),
+            ("wal_commits", stats.wal_commits.into()),
+            ("replayed_wal_bytes", wal_bytes.into()),
+            ("standing_reregistered", standing.into()),
+            ("recover_secs", recover_secs.into()),
+        ],
     );
-}
-
-/// Emits the `recovery` experiment's measurements into the `"recovery"`
-/// section of `BENCH_perf.json`.
-#[allow(clippy::too_many_arguments)]
-fn write_bench_perf_recovery(
-    scale: Scale,
-    n: usize,
-    d: usize,
-    updates: usize,
-    volatile_secs: f64,
-    durable_secs: f64,
-    wal_commits: u64,
-    wal_bytes: u64,
-    standing: usize,
-    recover_secs: f64,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    out.push_str(&format!("    \"n\": {n},\n    \"d\": {d},\n"));
-    out.push_str(&format!("    \"updates\": {updates},\n"));
-    out.push_str(&format!(
-        "    \"volatile_secs\": {volatile_secs:.6},\n    \"durable_secs\": {durable_secs:.6},\n"
-    ));
-    out.push_str(&format!(
-        "    \"durable_overhead\": {:.3},\n",
-        durable_secs / volatile_secs.max(1e-12)
-    ));
-    out.push_str(&format!(
-        "    \"wal_commits\": {wal_commits},\n    \"replayed_wal_bytes\": {wal_bytes},\n"
-    ));
-    out.push_str(&format!(
-        "    \"standing_reregistered\": {standing},\n    \"recover_secs\": {recover_secs:.6}\n"
-    ));
-    out.push_str("  }");
-    emit("recovery", &out);
-}
-
-/// Beyond the paper: the observability pipeline itself.  Drives a mixed
-/// workload (exact / approximate / auto queries, updates, a standing query)
-/// through a **durable** server and reads back the per-stage latency
-/// histograms every request was traced through — queue wait, admission,
-/// batch assembly, engine run, WAL commit, acknowledgement, and
-/// standing-query maintenance — then emits their percentiles as the
-/// `"telemetry"` section of `BENCH_perf.json`.
-fn telemetry(scale: Scale) {
-    use kspr::{ErrorBudget, QueryTier};
-    use kspr_serve::{ServeOptions, Server, ShardedEngine, Stage};
-    use std::time::Duration;
-    header(
-        "Serving telemetry: per-stage latency percentiles over a mixed workload",
-        "beyond the paper — kspr-telemetry stage tracing (see EXPERIMENTS.md)",
-    );
-    let p = params(scale);
-    let (n, queries, updates) = match scale {
-        Scale::Quick => (1_500, 240usize, 120usize),
-        Scale::Full => (20_000, 2_400, 1_200),
-    };
-    let w = Workload::synthetic(Distribution::Independent, n, p.d_default, p.k_default, 191);
-    let config = KsprConfig::default().with_shards(4);
-    let dir = std::env::temp_dir().join(format!("kspr-telemetry-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let options = ServeOptions {
-        slow_query_threshold: Some(Duration::from_millis(1)),
-        ..ServeOptions::default()
-    };
-    let server = Server::start_durable(ShardedEngine::new(w.raw.clone(), config), options, &dir)
-        .expect("open durable server");
-    let handle = server.handle();
-    let sub = handle
-        .subscribe(w.raw[0].clone(), p.k_default)
-        .wait()
-        .expect("standing query");
-    let budget = ErrorBudget::new(0.1, 0.9);
-
-    // The pool only holds "competitive" focal records, so it may cap the
-    // request count below the nominal target; report what was submitted.
-    let focals = w.focals(queries);
-    let queries = focals.len();
-    let start = Instant::now();
-    let mut update_round = 0usize;
-    for (i, focal) in focals.into_iter().enumerate() {
-        match i % 3 {
-            0 => {
-                handle.submit(focal, p.k_default).wait().expect("exact");
-            }
-            1 => {
-                handle
-                    .submit_approx(focal, p.k_default, budget)
-                    .wait()
-                    .expect("approx");
-            }
-            _ => {
-                handle
-                    .submit_tiered(
-                        Algorithm::LpCta,
-                        focal,
-                        p.k_default,
-                        QueryTier::Auto {
-                            budget,
-                            cost_threshold: 1e6,
-                        },
-                    )
-                    .wait()
-                    .expect("auto");
-            }
-        }
-        // Interleave updates so the WAL-commit and maintenance stages see
-        // the same serving conditions as the queries around them.
-        if update_round < updates && i % 2 == 0 {
-            let id = handle
-                .insert(vec![0.4 + 0.0001 * (i % 100) as f64; p.d_default])
-                .wait()
-                .expect("insert");
-            update_round += 1;
-            if update_round < updates && i % 4 == 0 {
-                handle.delete(id).wait().expect("delete");
-                update_round += 1;
-            }
-        }
-    }
-    // Serialize behind the final maintenance pass before reading.
-    handle.subscriptions().wait().expect("barrier");
-    let wall_secs = start.elapsed().as_secs_f64();
-    let snap = handle.metrics();
-    let retained = handle.traces().len();
-    drop(sub);
-
-    println!(
-        "{queries} queries + {update_round} updates over n = {n} in {wall_secs:.3}s \
-         ({retained} traces retained by the flight recorder at 1ms)"
-    );
-    println!(
-        "{:<12} {:>10} {:>12} {:>12} {:>12}",
-        "stage", "count", "p50 (us)", "p95 (us)", "p99 (us)"
-    );
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!("    \"n\": {n},\n    \"d\": {},\n", p.d_default));
-    body.push_str(&format!(
-        "    \"queries\": {queries},\n    \"updates\": {update_round},\n"
-    ));
-    body.push_str(&format!("    \"wall_secs\": {wall_secs:.6},\n"));
-    body.push_str(&format!("    \"retained_traces\": {retained},\n"));
-    body.push_str("    \"stages\": {\n");
-    for (i, stage) in Stage::ALL.iter().enumerate() {
-        let h = snap
-            .histogram(&format!("kspr_stage_{}_ns", stage.name()))
-            .expect("stage histogram");
-        println!(
-            "{:<12} {:>10} {:>12.1} {:>12.1} {:>12.1}",
-            stage.name(),
-            h.count(),
-            h.p50() as f64 / 1e3,
-            h.quantile(0.95) as f64 / 1e3,
-            h.p99() as f64 / 1e3,
-        );
-        body.push_str(&format!(
-            "      \"{}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}{}\n",
-            stage.name(),
-            h.count(),
-            h.p50(),
-            h.quantile(0.95),
-            h.p99(),
-            h.max(),
-            if i + 1 == Stage::ALL.len() { "" } else { "," },
-        ));
-    }
-    body.push_str("    }\n");
-    body.push_str("  }");
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "expected shape: engine time dominates the exact queries; queue wait grows with \
-         interleaved updates; WAL commits are fsync-bound"
-    );
-    emit("telemetry", &body);
-}
-
-/// Beyond the paper: end-to-end span tracing over the wire.  Sends traced
-/// queries and updates (client-supplied trace ids over `kspr-wire` v2
-/// frames) through a durable [`kspr_serve::NetServer`], verifies every id is
-/// echoed and retained as a well-formed span tree, reads the engine's
-/// per-phase histograms, and times the `/trace` chrome-trace HTTP export —
-/// emitted as the `"trace"` section of `BENCH_perf.json`.
-fn trace(scale: Scale) {
-    use kspr_serve::{NetServer, ServeOptions, Server, ShardedEngine};
-    use kspr_telemetry::parse_json;
-    use kspr_wire::{WireClient, WireRequest, WireResponse};
-    use std::io::{Read as _, Write as _};
-    use std::net::TcpStream;
-    header(
-        "End-to-end tracing: trace-id round-trips, span trees, /trace export",
-        "beyond the paper — kspr-telemetry flight recorder (see EXPERIMENTS.md)",
-    );
-    let p = params(scale);
-    let (n, traced_target) = match scale {
-        Scale::Quick => (1_500, 24usize),
-        Scale::Full => (20_000, 240),
-    };
-    let w = Workload::synthetic(Distribution::Independent, n, p.d_default, p.k_default, 197);
-    let dir = std::env::temp_dir().join(format!("kspr-trace-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let server = Server::start_durable(
-        ShardedEngine::new(w.raw.clone(), KsprConfig::default().with_shards(4)),
-        ServeOptions::default(),
-        &dir,
-    )
-    .expect("open durable server");
-    let handle = server.handle();
-    let net = NetServer::bind(server.handle(), "127.0.0.1:0").expect("bind loopback");
-    let stream = TcpStream::connect(net.local_addr()).expect("loopback connect");
-    let mut client = WireClient::new(stream);
-
-    let focals = w.focals(traced_target);
-    let queries = focals.len();
-    let start = Instant::now();
-    for (i, focal) in focals.into_iter().enumerate() {
-        let trace_id = 0x1000 + i as u64;
-        let (response, echo) = client
-            .call_traced(
-                &WireRequest::Query {
-                    algorithm: Algorithm::LpCta,
-                    focal,
-                    k: p.k_default as u64,
-                },
-                Some(trace_id),
-            )
-            .expect("traced query");
-        assert!(matches!(response, WireResponse::Result(_)));
-        assert_eq!(echo, Some(trace_id), "the trace id must be echoed");
-        // Interleave traced durable updates so WAL-commit spans show up.
-        if i % 4 == 0 {
-            let (response, _) = client
-                .call_traced(
-                    &WireRequest::Insert {
-                        values: vec![0.4 + 0.0001 * (i % 100) as f64; p.d_default],
-                    },
-                    Some(0x9000 + i as u64),
-                )
-                .expect("traced insert");
-            assert!(matches!(response, WireResponse::Inserted { .. }));
-        }
-    }
-    let wall_secs = start.elapsed().as_secs_f64();
-
-    // Flight-recorder retention and span-tree shape.
-    let retained = handle.traces();
-    let spans_retained: usize = retained.iter().map(|r| r.spans.len()).sum();
-    assert!(
-        retained.iter().all(|r| r.is_well_formed()),
-        "every retained span tree must be well-formed"
-    );
-
-    // The /trace export, timed over a raw HTTP GET on the scrape port.
-    let export_start = Instant::now();
-    let mut scrape = TcpStream::connect(net.local_addr()).expect("trace connect");
-    scrape
-        .write_all(b"GET /trace HTTP/1.1\r\nHost: localhost\r\n\r\n")
-        .expect("send trace request");
-    let mut text = String::new();
-    scrape.read_to_string(&mut text).expect("read trace");
-    let body_json = text.split("\r\n\r\n").nth(1).expect("an HTTP body");
-    let export_bytes = body_json.len();
-    let json = parse_json(body_json).expect("/trace must serve valid JSON");
-    let export_secs = export_start.elapsed().as_secs_f64();
-    let events = json
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .expect("a traceEvents array")
-        .len();
-
-    println!(
-        "{queries} traced queries (+{} traced inserts) over n = {n} in {wall_secs:.3}s",
-        queries.div_ceil(4)
-    );
-    println!(
-        "flight recorder: {} trees retained ({} spans); /trace export: {} events, \
-         {export_bytes} bytes in {:.1}ms",
-        retained.len(),
-        spans_retained,
-        events,
-        export_secs * 1e3
-    );
-    println!(
-        "{:<12} {:>10} {:>12} {:>12} {:>12}",
-        "phase", "count", "p50 (us)", "p95 (us)", "p99 (us)"
-    );
-    let snap = handle.metrics();
-    let phases: Vec<&str> = kspr::Timing::default()
-        .iter()
-        .map(|(name, _)| name)
-        .collect();
-    let mut body = String::from("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!("    \"n\": {n},\n    \"d\": {},\n", p.d_default));
-    body.push_str(&format!(
-        "    \"traced_requests\": {},\n    \"retained_traces\": {},\n",
-        queries + queries.div_ceil(4),
-        retained.len()
-    ));
-    body.push_str(&format!(
-        "    \"spans_retained\": {spans_retained},\n    \"export_events\": {events},\n"
-    ));
-    body.push_str(&format!(
-        "    \"export_bytes\": {export_bytes},\n    \"export_secs\": {export_secs:.6},\n"
-    ));
-    body.push_str(&format!("    \"wall_secs\": {wall_secs:.6},\n"));
-    body.push_str("    \"phases\": {\n");
-    for (i, phase) in phases.iter().enumerate() {
-        let h = snap
-            .histogram(&format!("kspr_phase_{phase}_ns"))
-            .expect("phase histogram");
-        println!(
-            "{:<12} {:>10} {:>12.1} {:>12.1} {:>12.1}",
-            phase,
-            h.count(),
-            h.p50() as f64 / 1e3,
-            h.quantile(0.95) as f64 / 1e3,
-            h.p99() as f64 / 1e3,
-        );
-        body.push_str(&format!(
-            "      \"{phase}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \
-             \"p99_ns\": {}, \"max_ns\": {}}}{}\n",
-            h.count(),
-            h.p50(),
-            h.quantile(0.95),
-            h.p99(),
-            h.max(),
-            if i + 1 == phases.len() { "" } else { "," },
-        ));
-    }
-    body.push_str("    }\n  }");
-
-    drop(client);
-    net.stop();
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "expected shape: expansion (with its LP solves) dominates prep for competitive \
-         focals; the export stays linear in the retained span count"
-    );
-    emit("trace", &body);
 }
 
 /// Prints the live/tombstone slot accounting of a long-running engine.
@@ -1778,7 +1394,16 @@ fn monitor(scale: Scale) {
             point.visited_per_update(),
             point.pruned_per_update(),
         );
-        points.push(point);
+        points.push(JsonValue::object([
+            ("queries", point.registered.into()),
+            ("updates", point.updates.into()),
+            ("batch", point.batch.into()),
+            ("indexed_secs_per_update", point.indexed.into()),
+            ("full_scan_secs_per_update", point.full_scan.into()),
+            ("speedup", point.speedup().into()),
+            ("visited_per_update", point.visited_per_update().into()),
+            ("index_pruned_per_update", point.pruned_per_update().into()),
+        ]));
     }
     println!(
         "expected shape: full-scan cost grows linearly with the registry while the \
@@ -1786,7 +1411,25 @@ fn monitor(scale: Scale) {
          registry), so the gap widens ~10x per decade; >= 10x at 10^4 is the \
          kspr-bench lib gate"
     );
-    write_bench_perf_monitor(scale, n, p.d_default, max_k, &points);
+    emit(
+        "monitor",
+        scale,
+        [
+            ("n", n.into()),
+            ("d", p.d_default.into()),
+            ("max_k", max_k.into()),
+            ("batch_window", kspr_serve::MAINTENANCE_WINDOW.into()),
+            (
+                "algorithms",
+                vec!["LPCTA", "PCTA", "CTA", "KSKYBAND"].into(),
+            ),
+            (
+                "baseline",
+                "full-scan registry classified after every single update".into(),
+            ),
+            ("points", JsonValue::Array(points)),
+        ],
+    );
 
     // The serving front-end: subscriptions streaming result deltas through
     // the dispatcher while updates flow, serialized with the update stream.
@@ -1874,17 +1517,10 @@ fn approx(scale: Scale) {
         "speedup",
         "max err"
     );
-    let mut body = String::from("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {},\n    \"k\": {k},\n    \"confidence\": 0.95,\n",
-        p.d_default
-    ));
-    body.push_str("    \"frontier\": {\n");
-    const EPSILONS: [f64; 3] = [0.1, 0.05, 0.02];
-    for (m, (label, focals)) in mixes.iter().enumerate() {
-        body.push_str(&format!("      \"{label}\": [\n"));
-        for (e, eps) in EPSILONS.into_iter().enumerate() {
+    let mut frontier = Vec::new();
+    for (label, focals) in &mixes {
+        let mut rows = Vec::new();
+        for eps in [0.1, 0.05, 0.02] {
             let budget = ErrorBudget::new(eps, 0.95);
             let cmp =
                 kspr_bench::measure_approx_frontier(&w, focals, k, &config, &budget, rounds, 85);
@@ -1908,26 +1544,29 @@ fn approx(scale: Scale) {
                 cmp.speedup(),
                 cmp.max_error,
             );
-            body.push_str(&format!(
-                "        {{\"epsilon\": {eps}, \"samples\": {}, \"candidates\": {}, \
-                 \"exact_secs\": {:.6}, \"approx_secs\": {:.6}, \"speedup\": {:.4}, \
-                 \"max_error\": {:.6}}}{}\n",
-                cmp.samples,
-                cmp.candidates,
-                cmp.exact,
-                cmp.approx,
-                cmp.speedup(),
-                cmp.max_error,
-                if e + 1 == EPSILONS.len() { "" } else { "," },
-            ));
+            rows.push(JsonValue::object([
+                ("epsilon", eps.into()),
+                ("samples", cmp.samples.into()),
+                ("candidates", cmp.candidates.into()),
+                ("exact_secs", cmp.exact.into()),
+                ("approx_secs", cmp.approx.into()),
+                ("speedup", cmp.speedup().into()),
+                ("max_error", cmp.max_error.into()),
+            ]));
         }
-        body.push_str(&format!(
-            "      ]{}\n",
-            if m + 1 == mixes.len() { "" } else { "," }
-        ));
+        frontier.push((*label, JsonValue::Array(rows)));
     }
-    body.push_str("    }\n  }");
-    emit("approx", &body);
+    emit(
+        "approx",
+        scale,
+        [
+            ("n", n.into()),
+            ("d", p.d_default.into()),
+            ("k", k.into()),
+            ("confidence", 0.95.into()),
+            ("frontier", JsonValue::object(frontier)),
+        ],
+    );
 
     // Auto routing: the arrangement-cost estimate (band^work_dim) against
     // the default threshold, across (k, d).  Small k / low d stay exact;
@@ -2072,7 +1711,27 @@ fn parallel(scale: Scale, workers: Option<&str>) {
                 point.parallel_inserts,
             );
         }
-        sweeps.push((*label, sweep));
+        let points = sweep
+            .points
+            .iter()
+            .map(|point| {
+                JsonValue::object([
+                    ("workers", point.workers.into()),
+                    ("single_query_secs", point.single_query_secs.into()),
+                    ("batch_qps", point.batch_qps.into()),
+                    (
+                        "speedup_vs_1_worker",
+                        sweep.speedup_at(point.workers).into(),
+                    ),
+                    ("parallel_inserts", point.parallel_inserts.into()),
+                ])
+            })
+            .collect::<Vec<_>>();
+        sweeps.push(JsonValue::object([
+            ("mix", JsonValue::from(*label)),
+            ("queries", sweep.queries.into()),
+            ("points", JsonValue::Array(points)),
+        ]));
     }
     println!(
         "expected shape: on the competitive mix the single-query speedup approaches the \
@@ -2081,7 +1740,22 @@ fn parallel(scale: Scale, workers: Option<&str>) {
          reach the CellTree.  Results are asserted bit-identical across worker counts."
     );
 
-    write_bench_perf(scale, cores, n, p.d_default, k, &sweeps);
+    emit(
+        "parallel",
+        scale,
+        [
+            ("cores", cores.into()),
+            ("n", n.into()),
+            ("d", p.d_default.into()),
+            ("k", k.into()),
+            ("algorithm", "PCTA".into()),
+            (
+                "lp_cta_excluded",
+                "look-ahead bound reports depend on expansion order; always sequential".into(),
+            ),
+            ("mixes", JsonValue::Array(sweeps)),
+        ],
+    );
 }
 
 fn scale_label(scale: Scale) -> &'static str {
@@ -2092,106 +1766,14 @@ fn scale_label(scale: Scale) -> &'static str {
     }
 }
 
-/// Emits the `parallel` experiment's measurements into the `"parallel"`
-/// section of `BENCH_perf.json` (in the working directory — the repo root
-/// when run via `cargo run`).  Hand-rolled like the repo's other
-/// serializers: the schema is flat enough that a serde dependency buys
-/// nothing.
-fn write_bench_perf(
-    scale: Scale,
-    cores: usize,
-    n: usize,
-    d: usize,
-    k: usize,
-    sweeps: &[(&str, kspr_bench::ParallelScaling)],
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    out.push_str(&format!("    \"cores\": {cores},\n"));
-    out.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {d},\n    \"k\": {k},\n"
-    ));
-    out.push_str("    \"algorithm\": \"PCTA\",\n");
-    out.push_str("    \"lp_cta_excluded\": \"look-ahead bound reports depend on expansion order; always sequential\",\n");
-    out.push_str("    \"mixes\": [\n");
-    for (i, (label, sweep)) in sweeps.iter().enumerate() {
-        out.push_str("      {\n");
-        out.push_str(&format!("        \"mix\": \"{label}\",\n"));
-        out.push_str(&format!("        \"queries\": {},\n", sweep.queries));
-        out.push_str("        \"points\": [\n");
-        for (j, point) in sweep.points.iter().enumerate() {
-            out.push_str(&format!(
-                "          {{\"workers\": {}, \"single_query_secs\": {:.6}, \"batch_qps\": {:.3}, \
-                 \"speedup_vs_1_worker\": {:.3}, \"parallel_inserts\": {}}}{}\n",
-                point.workers,
-                point.single_query_secs,
-                point.batch_qps,
-                sweep.speedup_at(point.workers),
-                point.parallel_inserts,
-                if j + 1 == sweep.points.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("        ]\n");
-        out.push_str(&format!(
-            "      }}{}\n",
-            if i + 1 == sweeps.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("    ]\n  }");
-    emit("parallel", &out);
-}
-
-/// Emits the `monitor` experiment's registry-scaling sweep into the
-/// `"monitor"` section of `BENCH_perf.json`.
-fn write_bench_perf_monitor(
-    scale: Scale,
-    n: usize,
-    d: usize,
-    max_k: usize,
-    points: &[kspr_bench::RegistryScalingPoint],
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    out.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {d},\n    \"max_k\": {max_k},\n"
-    ));
-    out.push_str(&format!(
-        "    \"batch_window\": {},\n",
-        kspr_serve::MAINTENANCE_WINDOW
-    ));
-    out.push_str("    \"algorithms\": [\"LPCTA\", \"PCTA\", \"CTA\", \"KSKYBAND\"],\n");
-    out.push_str(
-        "    \"baseline\": \"full-scan registry classified after every single update\",\n",
-    );
-    out.push_str("    \"points\": [\n");
-    for (i, point) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"queries\": {}, \"updates\": {}, \"batch\": {}, \
-             \"indexed_secs_per_update\": {:.9}, \"full_scan_secs_per_update\": {:.9}, \
-             \"speedup\": {:.3}, \"visited_per_update\": {:.3}, \"index_pruned_per_update\": {:.3}}}{}\n",
-            point.registered,
-            point.updates,
-            point.batch,
-            point.indexed,
-            point.full_scan,
-            point.speedup(),
-            point.visited_per_update(),
-            point.pruned_per_update(),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("    ]\n  }");
-    emit("monitor", &out);
-}
-
-/// Writes one experiment's section into `BENCH_perf.json` in the working
-/// directory (the repo root when run via `cargo run`) and exits non-zero
-/// when that fails, so a stale committed section never passes for a fresh
-/// one.
-fn emit(section: &str, body: &str) {
+/// Writes one experiment's section — `fields` after the `scale` tag — into
+/// `BENCH_perf.json` in the working directory (the repo root when run via
+/// `cargo run`) and exits non-zero when that fails, so a stale committed
+/// section never passes for a fresh one.
+fn emit(section: &str, scale: Scale, fields: impl IntoIterator<Item = (&'static str, JsonValue)>) {
     let path = std::path::Path::new("BENCH_perf.json");
+    let body =
+        JsonValue::object(std::iter::once(("scale", scale_label(scale).into())).chain(fields));
     match kspr_bench::write_bench_perf_section(path, section, body) {
         Ok(()) => eprintln!("[{section}] wrote {}", path.display()),
         Err(err) => {

@@ -1002,18 +1002,25 @@ pub fn measure_parallel_scaling(
 /// Writes one experiment's section into the sectioned perf file at `path`
 /// (`BENCH_perf.json`), keeping every other top-level section already in
 /// the file, so the sectioned experiments compose regardless of order.
-/// `body` is the section's rendered JSON object; the file is parsed and
-/// re-rendered whole, sections sorted by name, and created if missing.
+/// `body` is the section's JSON object; the file is parsed and re-rendered
+/// whole, sections sorted by name, and created if missing.
 ///
 /// # Errors
-/// Fails without touching the file when `body` is not valid JSON (a `NaN`
-/// or `inf` rendered by `{:.6}` is not) or the existing file is not a JSON
-/// object; otherwise passes through I/O errors.
-pub fn write_bench_perf_section(path: &Path, section: &str, body: &str) -> std::io::Result<()> {
+/// Fails without touching the file when `body` holds a non-finite number
+/// (which JSON cannot express) or the existing file is not a JSON object;
+/// otherwise passes through I/O errors.
+pub fn write_bench_perf_section(
+    path: &Path,
+    section: &str,
+    body: kspr_telemetry::JsonValue,
+) -> std::io::Result<()> {
     use kspr_telemetry::{parse_json, write_json_into, JsonValue};
     let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-    let fresh = parse_json(body)
-        .ok_or_else(|| invalid(format!("the {section} section body is not valid JSON")))?;
+    if !body.is_finite() {
+        return Err(invalid(format!(
+            "the {section} section holds a non-finite number"
+        )));
+    }
     let mut sections = match std::fs::read_to_string(path) {
         Ok(text) => match parse_json(&text) {
             Some(JsonValue::Object(sections)) => sections,
@@ -1023,7 +1030,7 @@ pub fn write_bench_perf_section(path: &Path, section: &str, body: &str) -> std::
         Err(err) => return Err(err),
     };
     sections.retain(|(name, _)| name != section);
-    sections.push((section.to_string(), fresh));
+    sections.push((section.to_string(), body));
     sections.sort_by(|a, b| a.0.cmp(&b.0));
     let mut out = String::new();
     write_json_into(&JsonValue::Object(sections), &mut out);
@@ -1093,11 +1100,16 @@ mod tests {
         }
     }
 
+    /// A one-member section body.
+    fn body(key: &str, value: f64) -> kspr_telemetry::JsonValue {
+        kspr_telemetry::JsonValue::object([(key, value.into())])
+    }
+
     #[test]
     fn section_writer_creates_a_missing_file() {
         let path = scratch_perf_file("create");
         assert!(!path.exists());
-        write_bench_perf_section(&path, "batch", "{\"speedup\": 1.5}").unwrap();
+        write_bench_perf_section(&path, "batch", body("speedup", 1.5)).unwrap();
         assert_eq!(section_names(&path), ["batch"]);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
@@ -1105,11 +1117,11 @@ mod tests {
     #[test]
     fn section_writer_replaces_by_key_and_keeps_the_rest_sorted() {
         let path = scratch_perf_file("replace");
-        write_bench_perf_section(&path, "update", "{\"v\": 1}").unwrap();
-        write_bench_perf_section(&path, "approx", "{\"v\": 2}").unwrap();
-        write_bench_perf_section(&path, "monitor", "{\"v\": 3}").unwrap();
+        write_bench_perf_section(&path, "update", body("v", 1.0)).unwrap();
+        write_bench_perf_section(&path, "approx", body("v", 2.0)).unwrap();
+        write_bench_perf_section(&path, "monitor", body("v", 3.0)).unwrap();
         assert_eq!(section_names(&path), ["approx", "monitor", "update"]);
-        write_bench_perf_section(&path, "monitor", "{\"v\": 4}").unwrap();
+        write_bench_perf_section(&path, "monitor", body("v", 4.0)).unwrap();
         assert_eq!(section_names(&path), ["approx", "monitor", "update"]);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(!text.contains('3'), "the old monitor body is gone: {text}");
@@ -1122,10 +1134,9 @@ mod tests {
     #[test]
     fn section_writer_refuses_a_nan_body_and_leaves_the_file_alone() {
         let path = scratch_perf_file("nan");
-        write_bench_perf_section(&path, "batch", "{\"speedup\": 1.5}").unwrap();
+        write_bench_perf_section(&path, "batch", body("speedup", 1.5)).unwrap();
         let before = std::fs::read(&path).unwrap();
-        let body = format!("{{\"speedup\": {:.6}}}", f64::NAN);
-        let err = write_bench_perf_section(&path, "batch", &body).unwrap_err();
+        let err = write_bench_perf_section(&path, "batch", body("speedup", f64::NAN)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(std::fs::read(&path).unwrap(), before);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());

@@ -31,7 +31,7 @@
 //! * **R-tree reuse** — the dataset index is reference-counted and shared
 //!   with every worker; additionally, queries whose Section-3.1 filter
 //!   removes no record reuse it outright instead of bulk-loading a
-//!   query-local copy (see [`crate::prep::prepare_with_index`]).
+//!   query-local copy (see [`crate::prep::prepare`]).
 //! * **Skyband filter** — the dataset-level k-skyband is computed once; the
 //!   per-query band of [`SkybandPolicy`] is provably contained in it, so the
 //!   per-query computation only scans the precomputed candidates.
@@ -67,7 +67,7 @@ use crate::config::KsprConfig;
 use crate::dataset::{Dataset, DatasetStore};
 use crate::hyperplanes::HyperplaneStore;
 use crate::maxrank::run_imaxrank;
-use crate::prep::{prepare_with_index, FilteredQuery, Prepared};
+use crate::prep::{prepare, FilteredQuery, Prepared};
 use crate::result::{KsprResult, Region};
 use crate::rtopk::run_rtopk;
 use crate::stats::QueryStats;
@@ -775,13 +775,7 @@ impl QueryEngine {
             |clock: &std::time::Instant| u64::try_from(clock.elapsed().as_nanos()).unwrap_or(0);
 
         // Step 1: Section 3.1 preprocessing (with dataset-index reuse).
-        let filtered = match prepare_with_index(
-            self.store.dataset(),
-            focal,
-            k,
-            AggregateRTree::DEFAULT_FANOUT,
-            &mut stats,
-        ) {
+        let filtered = match prepare(self.store.dataset(), focal, k, &mut stats) {
             Prepared::Empty { .. } => {
                 stats.phases.prep_ns += elapsed_ns(&prep_clock);
                 return KsprResult::empty(space, stats);

@@ -17,12 +17,11 @@
 //! runs it on small instances, exactly as the paper does.
 
 use crate::dataset::Dataset;
-use crate::prep::{prepare_with_index, Prepared};
+use crate::prep::{prepare, Prepared};
 use crate::result::{KsprResult, Region};
 use crate::stats::QueryStats;
 use kspr_geometry::{Hyperplane, Polytope, PreferenceSpace, Sign};
 use kspr_lp::{LinearConstraint, Relation};
-use kspr_spatial::AggregateRTree;
 
 /// Maximum number of cutting hyperplanes tolerated in a Quad-tree leaf before
 /// it is subdivided further.
@@ -39,13 +38,7 @@ pub fn run_imaxrank(dataset: &Dataset, focal: &[f64], k: usize) -> KsprResult {
     let dim = space.work_dim();
     let mut stats = QueryStats::new();
 
-    let filtered = match prepare_with_index(
-        dataset,
-        focal,
-        k,
-        AggregateRTree::DEFAULT_FANOUT,
-        &mut stats,
-    ) {
+    let filtered = match prepare(dataset, focal, k, &mut stats) {
         Prepared::Empty { .. } => return KsprResult::empty(space, stats),
         Prepared::WholeSpace { dominators } => {
             let mut r = KsprResult::whole_space(space, dominators + 1, stats);

@@ -10,7 +10,7 @@
 
 use crate::dataset::Dataset;
 use crate::stats::QueryStats;
-use kspr_spatial::{dominates, AggregateRTree, DomClass, Record};
+use kspr_spatial::{AggregateRTree, DomClass, Record};
 use std::sync::Arc;
 
 /// Outcome of preprocessing a query.
@@ -66,48 +66,21 @@ impl FilteredQuery {
     }
 }
 
-/// Runs the Section 3.1 preprocessing.
+/// Runs the Section 3.1 preprocessing over `dataset`.
 ///
 /// * Records identical to `focal` are treated as ties and ignored (the paper
 ///   ignores ties "for ease of presentation").
+/// * Deleted (tombstoned) record slots are not competitors.
+/// * When preprocessing removes no record, the dataset's prebuilt R-tree is
+///   reused instead of being bulk-loaded again.  The reused index is shared
+///   — across queries and, in batch mode, across threads — which is safe
+///   because all traversals are read-only.
 /// * `stats` receives the dominator / dominated counts.
 ///
 /// # Panics
 /// Panics if `k == 0` or if `focal` does not match the dataset arity.
-pub fn prepare(
-    records: &[Record],
-    focal: &[f64],
-    k: usize,
-    fanout: usize,
-    stats: &mut QueryStats,
-) -> Prepared {
-    prepare_impl(records, focal, k, fanout, stats, None)
-}
-
-/// Like [`prepare`], but with access to the dataset's prebuilt index: when
-/// preprocessing removes no record and the dataset index was built with the
-/// requested fanout, the (identical) dataset R-tree is reused instead of
-/// being bulk-loaded again.  The reused index is shared — across queries and,
-/// in batch mode, across threads — which is safe because all traversals are
-/// read-only.
-pub fn prepare_with_index(
-    dataset: &Dataset,
-    focal: &[f64],
-    k: usize,
-    fanout: usize,
-    stats: &mut QueryStats,
-) -> Prepared {
-    prepare_impl(dataset.records(), focal, k, fanout, stats, Some(dataset))
-}
-
-fn prepare_impl(
-    records: &[Record],
-    focal: &[f64],
-    k: usize,
-    fanout: usize,
-    stats: &mut QueryStats,
-    dataset: Option<&Dataset>,
-) -> Prepared {
+pub fn prepare(dataset: &Dataset, focal: &[f64], k: usize, stats: &mut QueryStats) -> Prepared {
+    let records = dataset.records();
     assert!(k >= 1, "k must be at least 1");
     assert!(
         records.iter().all(|r| r.dim() == focal.len()),
@@ -119,37 +92,17 @@ fn prepare_impl(
     let mut kept: Vec<Record> = Vec::new();
     let mut original_ids: Vec<usize> = Vec::new();
 
-    // Dataset-backed queries classify through the columnar dominance kernel
-    // (one contiguous column sweep instead of a pointer chase per record);
-    // the slice-backed path keeps the row-major tests.  Both decide the
-    // exact same comparisons, so the outcomes are identical.
+    // One contiguous column sweep classifies every record slot.
     let mut classes: Vec<DomClass> = Vec::new();
-    if let Some(d) = dataset {
-        stats.phases.dominance_ns += d.columns().classify_into_timed(focal, &mut classes);
-    }
+    stats.phases.dominance_ns += dataset.columns().classify_into_timed(focal, &mut classes);
 
     for r in records {
-        if let Some(d) = dataset {
-            // Record slots deleted through a `DatasetStore` stay in the slice
-            // (ids are stable) but must not act as competitors.
-            if !d.is_live(r.id) {
-                continue;
-            }
+        // Record slots deleted through a `DatasetStore` stay in the slice
+        // (ids are stable) but must not act as competitors.
+        if !dataset.is_live(r.id) {
+            continue;
         }
-        let class = match classes.get(r.id) {
-            Some(&c) => c,
-            None => {
-                if r.values == focal {
-                    DomClass::Tie
-                } else if dominates(&r.values, focal) {
-                    DomClass::Dominates
-                } else if dominates(focal, &r.values) {
-                    DomClass::Dominated
-                } else {
-                    DomClass::Incomparable
-                }
-            }
-        };
+        let class = classes[r.id];
         match class {
             // Tie with the focal record: ignored.
             DomClass::Tie => {}
@@ -171,20 +124,24 @@ fn prepare_impl(
     if kept.is_empty() {
         return Prepared::WholeSpace { dominators };
     }
-    let tree = match dataset {
-        // Fast path: nothing was filtered out, so the filtered set *is* the
-        // dataset (same records, same sequential ids — `bulk_load` asserts
-        // every indexed record's id equals its position, so the dataset index
-        // can never disagree with the re-id'd `kept` vector here) and the
-        // prebuilt index can be shared as-is.  Sharing is result-preserving:
-        // an index grown by incremental inserts may differ in *shape* from
-        // the STR tree a rebuild would produce, which can shift traversal
-        // statistics (node reads, bound tightness) but never the record set
-        // or the query result.  `kept.len() == records.len()` compares
-        // against the raw slot count, so a dataset with tombstones (where
-        // surviving ids are no longer sequential) can never take this path.
-        Some(d) if kept.len() == records.len() && d.tree().fanout() == fanout => d.shared_index(),
-        _ => Arc::new(AggregateRTree::bulk_load(kept.clone(), fanout)),
+    // Fast path: nothing was filtered out, so the filtered set *is* the
+    // dataset (same records, same sequential ids — `bulk_load` asserts every
+    // indexed record's id equals its position, so the dataset index can
+    // never disagree with the re-id'd `kept` vector here) and the prebuilt
+    // index can be shared as-is.  Sharing is result-preserving: an index
+    // grown by incremental inserts may differ in *shape* from the STR tree a
+    // rebuild would produce, which can shift traversal statistics (node
+    // reads, bound tightness) but never the record set or the query result.
+    // `kept.len() == records.len()` compares against the raw slot count, so
+    // a dataset with tombstones (where surviving ids are no longer
+    // sequential) can never take this path.
+    let tree = if kept.len() == records.len() {
+        dataset.shared_index()
+    } else {
+        Arc::new(AggregateRTree::bulk_load(
+            kept.clone(),
+            AggregateRTree::DEFAULT_FANOUT,
+        ))
     };
     let io_base = tree.io().reads();
     Prepared::Filtered(FilteredQuery {
@@ -201,23 +158,20 @@ fn prepare_impl(
 mod tests {
     use super::*;
 
-    fn records(raw: &[Vec<f64>]) -> Vec<Record> {
-        raw.iter()
-            .enumerate()
-            .map(|(i, v)| Record::new(i, v.clone()))
-            .collect()
+    fn dataset(raw: &[Vec<f64>]) -> Dataset {
+        Dataset::new(raw.to_vec())
     }
 
     #[test]
     fn filters_dominators_and_dominated() {
-        let data = records(&[
+        let data = dataset(&[
             vec![0.9, 0.9], // dominates focal
             vec![0.1, 0.1], // dominated by focal
             vec![0.9, 0.1], // incomparable
             vec![0.5, 0.5], // tie (identical)
         ]);
         let mut stats = QueryStats::new();
-        let prep = prepare(&data, &[0.5, 0.5], 3, 8, &mut stats);
+        let prep = prepare(&data, &[0.5, 0.5], 3, &mut stats);
         match prep {
             Prepared::Filtered(f) => {
                 assert_eq!(f.records.len(), 1);
@@ -233,9 +187,9 @@ mod tests {
 
     #[test]
     fn too_many_dominators_yields_empty() {
-        let data = records(&[vec![0.9, 0.9], vec![0.8, 0.8], vec![0.7, 0.7]]);
+        let data = dataset(&[vec![0.9, 0.9], vec![0.8, 0.8], vec![0.7, 0.7]]);
         let mut stats = QueryStats::new();
-        match prepare(&data, &[0.5, 0.5], 2, 8, &mut stats) {
+        match prepare(&data, &[0.5, 0.5], 2, &mut stats) {
             Prepared::Empty { dominators } => assert_eq!(dominators, 3),
             other => panic!("expected Empty, got {other:?}"),
         }
@@ -243,9 +197,9 @@ mod tests {
 
     #[test]
     fn no_competitors_yields_whole_space() {
-        let data = records(&[vec![0.1, 0.1], vec![0.2, 0.2]]);
+        let data = dataset(&[vec![0.1, 0.1], vec![0.2, 0.2]]);
         let mut stats = QueryStats::new();
-        match prepare(&data, &[0.5, 0.5], 1, 8, &mut stats) {
+        match prepare(&data, &[0.5, 0.5], 1, &mut stats) {
             Prepared::WholeSpace { dominators } => assert_eq!(dominators, 0),
             other => panic!("expected WholeSpace, got {other:?}"),
         }
@@ -254,24 +208,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be at least 1")]
     fn rejects_zero_k() {
-        let data = records(&[vec![0.1, 0.1]]);
-        prepare(&data, &[0.5, 0.5], 0, 8, &mut QueryStats::new());
+        let data = dataset(&[vec![0.1, 0.1]]);
+        prepare(&data, &[0.5, 0.5], 0, &mut QueryStats::new());
     }
 
     #[test]
     fn index_reuse_when_nothing_is_filtered() {
-        use crate::dataset::Dataset;
         // Pairwise-incomparable records and an incomparable focal record:
         // preprocessing keeps everything, so the dataset index is shared.
         let dataset = Dataset::new(vec![vec![0.9, 0.1], vec![0.1, 0.9], vec![0.6, 0.35]]);
         let mut stats = QueryStats::new();
-        let prep = prepare_with_index(
-            &dataset,
-            &[0.5, 0.5],
-            2,
-            AggregateRTree::DEFAULT_FANOUT,
-            &mut stats,
-        );
+        let prep = prepare(&dataset, &[0.5, 0.5], 2, &mut stats);
         match prep {
             Prepared::Filtered(f) => {
                 assert!(
@@ -282,14 +229,6 @@ mod tests {
                 assert_eq!(f.filtered_id_of(2), Some(2));
             }
             other => panic!("expected Filtered, got {other:?}"),
-        }
-        // A different fanout forces a query-local rebuild.
-        let mut stats = QueryStats::new();
-        if let Prepared::Filtered(f) = prepare_with_index(&dataset, &[0.5, 0.5], 2, 4, &mut stats) {
-            assert!(!Arc::ptr_eq(&f.tree, &dataset.shared_index()));
-            assert_eq!(f.tree.fanout(), 4);
-        } else {
-            panic!("expected Filtered");
         }
     }
 
@@ -307,13 +246,7 @@ mod tests {
         ]);
         store.delete(1);
         let mut stats = QueryStats::new();
-        let prep = prepare_with_index(
-            store.dataset(),
-            &[0.5, 0.5],
-            2,
-            AggregateRTree::DEFAULT_FANOUT,
-            &mut stats,
-        );
+        let prep = prepare(store.dataset(), &[0.5, 0.5], 2, &mut stats);
         match prep {
             Prepared::Filtered(f) => {
                 assert_eq!(f.original_ids, vec![0, 2, 3]);
@@ -331,9 +264,9 @@ mod tests {
 
     #[test]
     fn filtered_id_mapping_round_trips() {
-        let data = records(&[vec![0.9, 0.1], vec![0.9, 0.9], vec![0.1, 0.9]]);
+        let data = dataset(&[vec![0.9, 0.1], vec![0.9, 0.9], vec![0.1, 0.9]]);
         let mut stats = QueryStats::new();
-        if let Prepared::Filtered(f) = prepare(&data, &[0.5, 0.5], 2, 8, &mut stats) {
+        if let Prepared::Filtered(f) = prepare(&data, &[0.5, 0.5], 2, &mut stats) {
             // Record 1 dominates the focal record and is filtered out.
             assert_eq!(f.original_ids, vec![0, 2]);
             assert_eq!(f.filtered_id_of(0), Some(0));
@@ -346,9 +279,9 @@ mod tests {
 
     #[test]
     fn filtered_ids_are_sequential() {
-        let data = records(&[vec![0.9, 0.1], vec![0.1, 0.9], vec![0.6, 0.4]]);
+        let data = dataset(&[vec![0.9, 0.1], vec![0.1, 0.9], vec![0.6, 0.4]]);
         let mut stats = QueryStats::new();
-        if let Prepared::Filtered(f) = prepare(&data, &[0.5, 0.5], 2, 8, &mut stats) {
+        if let Prepared::Filtered(f) = prepare(&data, &[0.5, 0.5], 2, &mut stats) {
             assert!(f.records.iter().enumerate().all(|(i, r)| r.id == i));
             assert_eq!(f.original_ids.len(), f.records.len());
         } else {

@@ -11,11 +11,10 @@
 //! dimensions.
 
 use crate::dataset::Dataset;
-use crate::prep::{prepare_with_index, Prepared};
+use crate::prep::{prepare, Prepared};
 use crate::result::{KsprResult, Region};
 use crate::stats::QueryStats;
 use kspr_geometry::{Hyperplane, PreferenceSpace, Sign};
-use kspr_spatial::AggregateRTree;
 
 /// Runs the RTOPK sweep.
 ///
@@ -34,13 +33,7 @@ pub fn run_rtopk(dataset: &Dataset, focal: &[f64], k: usize) -> KsprResult {
     // The same dominance-based preprocessing as the CellTree methods
     // (RTOPK "only considers records that neither dominate nor are dominated
     // by the focal record", Section 7.3).
-    let filtered = match prepare_with_index(
-        dataset,
-        focal,
-        k,
-        AggregateRTree::DEFAULT_FANOUT,
-        &mut stats,
-    ) {
+    let filtered = match prepare(dataset, focal, k, &mut stats) {
         Prepared::Empty { .. } => return KsprResult::empty(space, stats),
         Prepared::WholeSpace { dominators } => {
             let mut r = KsprResult::whole_space(space, dominators + 1, stats);

@@ -76,7 +76,7 @@ impl AdmissionOptions {
         if stamp.depth > self.hard_limit {
             return Verdict::Reject(ServeError::Overloaded);
         }
-        if stamp.inflight > self.client_quota {
+        if stamp.queued > self.client_quota {
             return Verdict::Reject(ServeError::QuotaExceeded);
         }
         if stamp.depth > self.degrade_watermark {
@@ -95,7 +95,7 @@ impl AdmissionOptions {
 /// degraded, or drained at shutdown.
 pub(crate) struct Stamp {
     depth: usize,
-    inflight: usize,
+    queued: usize,
     queue: Arc<AtomicUsize>,
     client: Arc<AtomicUsize>,
 }
@@ -106,7 +106,7 @@ impl Stamp {
     pub(crate) fn acquire(queue: &Arc<AtomicUsize>, client: &Arc<AtomicUsize>) -> Self {
         Self {
             depth: queue.fetch_add(1, Ordering::AcqRel) + 1,
-            inflight: client.fetch_add(1, Ordering::AcqRel) + 1,
+            queued: client.fetch_add(1, Ordering::AcqRel) + 1,
             queue: Arc::clone(queue),
             client: Arc::clone(client),
         }
@@ -133,8 +133,8 @@ mod tests {
         let (queue, client) = counters();
         let a = Stamp::acquire(&queue, &client);
         let b = Stamp::acquire(&queue, &client);
-        assert_eq!((a.depth, a.inflight), (1, 1));
-        assert_eq!((b.depth, b.inflight), (2, 2));
+        assert_eq!((a.depth, a.queued), (1, 1));
+        assert_eq!((b.depth, b.queued), (2, 2));
         drop(a);
         drop(b);
         assert_eq!(queue.load(Ordering::Acquire), 0);
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn verdict_order_is_hard_limit_then_quota_then_watermark() {
         let (queue, client) = counters();
-        let stamp = Stamp::acquire(&queue, &client); // depth = inflight = 1
+        let stamp = Stamp::acquire(&queue, &client); // depth = queued = 1
         let defaults = AdmissionOptions::default();
         assert!(matches!(defaults.admit(&stamp), Verdict::Accept));
 

@@ -40,7 +40,7 @@ pub enum ServeError {
     /// [`crate::AdmissionOptions::hard_limit`]).
     Overloaded,
     /// Admission control rejected the query: this client already had its
-    /// full quota of queries in flight (see
+    /// full quota of queries queued and not yet dispatched (see
     /// [`crate::AdmissionOptions::client_quota`]).
     QuotaExceeded,
     /// The request was still pending when [`crate::Server::shutdown`] ran;
@@ -82,7 +82,10 @@ impl std::fmt::Display for ServeError {
                 write!(f, "the server's pending queue is past its hard limit")
             }
             ServeError::QuotaExceeded => {
-                write!(f, "this client's in-flight query quota is exhausted")
+                write!(
+                    f,
+                    "this client's quota of queued, undispatched queries is exhausted"
+                )
             }
             ServeError::Shutdown => {
                 write!(f, "the server shut down with this request still pending")

@@ -29,18 +29,13 @@ use std::collections::BTreeMap;
 pub(crate) struct Persist {
     store: DurableStore,
     writer: WalWriter,
-    sync: bool,
 }
 
 impl Persist {
-    /// Opens the WAL writer over `store`.
-    pub(crate) fn open(store: DurableStore, sync: bool) -> std::io::Result<Self> {
-        let writer = store.wal_writer(sync)?;
-        Ok(Self {
-            store,
-            writer,
-            sync,
-        })
+    /// Opens the (fsyncing) WAL writer over `store`.
+    pub(crate) fn open(store: DurableStore) -> std::io::Result<Self> {
+        let writer = store.wal_writer(true)?;
+        Ok(Self { store, writer })
     }
 
     /// Stages one record for the next commit.
@@ -49,19 +44,15 @@ impl Persist {
     }
 
     /// Commits (write + fsync) everything staged and publishes the commit:
-    /// the `wal_commits` counter, the `kspr_wal_fsyncs` counter (synced
-    /// writers only), the commit-latency histogram and the WAL size gauge.
+    /// the `wal_commits` counter, the `kspr_wal_fsyncs` counter, the
+    /// commit-latency histogram and the WAL size gauge.
     /// Nothing staged means nothing is written, so nothing is published.
     pub(crate) fn commit(&mut self, metrics: &ServeMetrics) -> std::io::Result<()> {
         let before = self.writer.commits();
         self.writer.commit()?;
         if self.writer.commits() > before {
             metrics.live.wal_commits.inc();
-            metrics.wal_committed(
-                self.writer.bytes(),
-                self.writer.last_commit_nanos(),
-                self.sync,
-            );
+            metrics.wal_committed(self.writer.bytes(), self.writer.last_commit_nanos());
         }
         Ok(())
     }
@@ -79,7 +70,7 @@ impl Persist {
         metrics: &ServeMetrics,
     ) -> std::io::Result<()> {
         self.store.install_snapshot(state)?;
-        self.writer = self.store.wal_writer(self.sync)?;
+        self.writer = self.store.wal_writer(true)?;
         metrics.live.snapshots.inc();
         metrics.snapshot_installed(self.writer.bytes(), self.store.snapshot_epoch());
         Ok(())

@@ -462,7 +462,7 @@ impl Server {
     ) -> std::io::Result<Self> {
         let store = DurableStore::open(dir.as_ref())?;
         store.install_snapshot(&snapshot_of(&engine, &Monitor::new()))?;
-        let persist = Persist::open(store, true)?;
+        let persist = Persist::open(store)?;
         Ok(Self::launch(engine, options, Some(persist), Monitor::new()))
     }
 
@@ -488,7 +488,7 @@ impl Server {
         store
             .install_snapshot(&snapshot_of(&engine, &monitor))
             .map_err(RecoverError::from)?;
-        let persist = Persist::open(store, true).map_err(RecoverError::from)?;
+        let persist = Persist::open(store).map_err(RecoverError::from)?;
         Ok(Self::launch(engine, options, Some(persist), monitor))
     }
 

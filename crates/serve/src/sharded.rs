@@ -47,7 +47,7 @@ use kspr::{
     Algorithm, ApproxImpact, Dataset, DatasetStore, ErrorBudget, KsprConfig, KsprResult,
     PreferenceSpace, QueryEngine, QueryStats, RecordId,
 };
-use kspr_approx::{arrangement_cost, pool_estimates, ApproxEngine, PartialEstimate};
+use kspr_approx::{arrangement_cost, ApproxEngine};
 use kspr_durable::SlotState;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -568,22 +568,15 @@ impl ShardedEngine {
     // The approximate tier
     // -----------------------------------------------------------------------
 
-    /// Estimates the market impact of every focal record to `budget` by
-    /// fanning the sampling work across the shard pool — the approximate
-    /// tier of the sharded engine.  The total sample budget is **allocated
-    /// across shards proportionally to their live-record counts** (each
-    /// shard's worker draws its own independent sub-stream;
-    /// the split shards the sampling *work* and keeps each shard's partial
-    /// estimate meaningful telemetry — it cannot change the pooled
-    /// distribution, since every sub-stream is i.i.d. uniform), every probe
-    /// runs against the **merged candidate snapshot** — the union of
-    /// per-shard k-skybands, the same result-preserving candidate set the
-    /// exact merge queries (top-`k` membership is pointwise identical on
-    /// it, so the estimator stays unbiased for the full-dataset impact) —
-    /// and the per-shard partial estimates **merge by pooling**:
-    /// hit and sample counts sum, and the combined Hoeffding interval is
-    /// taken over the pooled sample count, so the reported half-width meets
-    /// the budget exactly as a single-stream estimate would.
+    /// Estimates the market impact of every focal record to `budget` — the
+    /// approximate tier of the sharded engine.  Every probe runs against the
+    /// **merged candidate snapshot** — the union of per-shard k-skybands,
+    /// the same result-preserving candidate set the exact merge queries
+    /// (top-`k` membership is pointwise identical on it, so the estimator
+    /// stays unbiased for the full-dataset impact) — through one sample
+    /// stream seeded by `seed`, so a single-shard pool answers exactly as a
+    /// plain [`ApproxEngine`] would.  The sampler itself parallelizes over
+    /// chunks of the stream.
     ///
     /// The candidate snapshot is epoch-consistent (a reference-counted
     /// dataset handle; updates copy-on-write), so an insert or delete
@@ -605,7 +598,6 @@ impl ShardedEngine {
             focals.iter().all(|f| f.len() == self.dim),
             "focal record arity must match the dataset"
         );
-        let total_samples = budget.samples();
         // Both arms go through `from_engine`: it samples the configured
         // preference space (`KsprConfig::space` — the original-space pools
         // must not draw from the transformed simplex) and restricts probes
@@ -623,60 +615,19 @@ impl ShardedEngine {
             _ => {
                 // No live competitor anywhere: the focal record is top-1 for
                 // every preference, with zero estimation error.
-                let half_width = budget.half_width(total_samples);
+                let samples = budget.samples();
+                let half_width = budget.half_width(samples);
                 return focals
                     .iter()
                     .map(|_| ApproxImpact {
                         impact: 1.0,
                         half_width,
-                        samples: total_samples,
+                        samples,
                     })
                     .collect();
             }
         };
-
-        let allocation = self.allocate_samples(total_samples);
-        let partials: Vec<PartialEstimate> = allocation
-            .par_iter()
-            .map(|&(shard, samples)| {
-                sampler.sample_batch(focals, samples, Self::shard_seed(seed, shard))
-            })
-            .collect();
-        pool_estimates(partials, budget.confidence)
-    }
-
-    /// Splits `total` samples across the shards proportionally to their
-    /// live-record counts (shards with no live record draw nothing; rounding
-    /// remainders go to the earliest contributing shards, so the allocation
-    /// always sums to `total`).  A pool with no live record at all assigns
-    /// everything to shard 0 — the caller has already short-circuited the
-    /// no-competitor answer by then, this only keeps the split total.
-    fn allocate_samples(&self, total: usize) -> Vec<(usize, usize)> {
-        let sizes = self.shard_sizes();
-        let live_total: usize = sizes.iter().sum();
-        if live_total == 0 {
-            return vec![(0, total)];
-        }
-        let mut allocation: Vec<(usize, usize)> = sizes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &live)| live > 0)
-            .map(|(shard, &live)| (shard, total * live / live_total))
-            .collect();
-        let assigned: usize = allocation.iter().map(|&(_, n)| n).sum();
-        for slot in 0..(total - assigned) {
-            let idx = slot % allocation.len();
-            allocation[idx].1 += 1;
-        }
-        allocation.retain(|&(_, n)| n > 0);
-        allocation
-    }
-
-    /// Per-shard sample-stream seed.  Shard 0 keeps the caller's seed, so a
-    /// single-shard pool draws the exact stream a plain [`ApproxEngine`]
-    /// would.
-    fn shard_seed(seed: u64, shard: usize) -> u64 {
-        seed.wrapping_add((shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        sampler.estimate_batch(focals, budget, seed)
     }
 
     /// The `Auto`-tier arrangement-cost estimate at rank threshold `k`: the
@@ -1098,33 +1049,6 @@ mod tests {
             .pop()
             .unwrap();
         assert_eq!(est.impact, 1.0);
-    }
-
-    #[test]
-    fn sample_allocation_is_proportional_and_complete() {
-        let raw = random_raw(90, 3, 59);
-        let mut sharded = ShardedEngine::new(raw, KsprConfig::default().with_shards(3));
-        // Skew the shards: delete most of shard 0's records (global ids
-        // 0, 3, 6, ... under round-robin).
-        for id in (0..60).step_by(3) {
-            assert!(sharded.delete(id));
-        }
-        let total = 1_000;
-        let allocation = sharded.allocate_samples(total);
-        let sizes = sharded.shard_sizes();
-        let live_total: usize = sizes.iter().sum();
-        assert_eq!(
-            allocation.iter().map(|&(_, n)| n).sum::<usize>(),
-            total,
-            "every sample must be allocated"
-        );
-        for &(shard, n) in &allocation {
-            let expected = total as f64 * sizes[shard] as f64 / live_total as f64;
-            assert!(
-                (n as f64 - expected).abs() <= allocation.len() as f64,
-                "shard {shard}: allocated {n}, proportional share {expected}"
-            );
-        }
     }
 
     #[test]

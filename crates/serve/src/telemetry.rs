@@ -128,9 +128,6 @@ pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
 /// snapshot epoch (the `kspr_wal_bytes` gauge crossing 64 MiB).
 pub(crate) const WAL_WARN_BYTES: u64 = 64 << 20;
 
-/// Phase-histogram name components, in [`kspr::Timing::iter`] order.
-const PHASE_NAMES: [&str; 4] = ["prep", "expansion", "lp", "dominance"];
-
 /// Trace ids the server assigns to requests that arrive without one.  They
 /// start far above any plausible client-side counter so the two id spaces
 /// don't collide in the flight recorder.
@@ -156,9 +153,9 @@ pub(crate) struct ServeMetrics {
     /// The exact engine's own wall time per query (`kspr_engine_wall_ns`,
     /// from [`QueryStats`] — excludes queueing and batching).
     engine_wall: Arc<Histogram>,
-    /// Per-engine-phase wall time (`kspr_phase_<phase>_ns`, indexed in
-    /// [`PHASE_NAMES`] order).
-    phases: [Arc<Histogram>; PHASE_NAMES.len()],
+    /// Per-engine-phase wall time (`kspr_phase_<phase>_ns`, in
+    /// [`kspr::Timing::iter`] order).
+    phases: Vec<Arc<Histogram>>,
     /// Simplex pivots per exact query (`kspr_lp_pivots` — work, not time).
     lp_pivots: Arc<Histogram>,
     /// WAL commit (write + fsync) latency (`kspr_wal_commit_ns`).
@@ -219,16 +216,19 @@ impl ServeMetrics {
             );
             registry.histogram(&name)
         });
-        let phases = PHASE_NAMES.map(|phase| {
-            let name = format!("kspr_phase_{phase}_ns");
-            registry.describe(
-                &name,
-                &format!(
-                    "Engine wall time spent in the {phase} phase per exact query, in nanoseconds"
-                ),
-            );
-            registry.histogram(&name)
-        });
+        let phases = kspr::Timing::default()
+            .iter()
+            .map(|(phase, _)| {
+                let name = format!("kspr_phase_{phase}_ns");
+                registry.describe(
+                    &name,
+                    &format!(
+                        "Engine wall time spent in the {phase} phase per exact query, in nanoseconds"
+                    ),
+                );
+                registry.histogram(&name)
+            })
+            .collect();
         for (name, help) in [
             (
                 "kspr_engine_wall_ns",
@@ -364,12 +364,10 @@ impl ServeMetrics {
     /// Publishes the WAL's state after one committed batch: commit latency,
     /// fsync count, size gauge — and a (once-per-epoch) warning when the
     /// log outgrows the watermark without a compaction truncating it.
-    pub(crate) fn wal_committed(&self, bytes: u64, commit_nanos: u64, synced: bool) {
+    pub(crate) fn wal_committed(&self, bytes: u64, commit_nanos: u64) {
         self.wal_commit.record(commit_nanos);
         self.wal_bytes.set(bytes);
-        if synced {
-            self.wal_fsyncs.inc();
-        }
+        self.wal_fsyncs.inc();
         if bytes > WAL_WARN_BYTES && !self.wal_warned.swap(true, Ordering::Relaxed) {
             eprintln!(
                 "kspr-serve: WAL has grown to {bytes} bytes (watermark \
@@ -515,7 +513,7 @@ mod tests {
         metrics.record_engine(&stats);
         let snap = metrics.snapshot(0);
         assert_eq!(snap.histogram("kspr_engine_wall_ns").unwrap().count(), 1);
-        for phase in PHASE_NAMES {
+        for (phase, _) in kspr::Timing::default().iter() {
             let histogram = snap.histogram(&format!("kspr_phase_{phase}_ns")).unwrap();
             assert_eq!(histogram.count(), 1, "{phase}");
         }
@@ -534,9 +532,9 @@ mod tests {
     fn wal_watermark_warns_once_per_epoch() {
         let metrics = ServeMetrics::new(None, 4);
         // At the watermark, not past it: no warning yet.
-        metrics.wal_committed(WAL_WARN_BYTES, 10, true);
+        metrics.wal_committed(WAL_WARN_BYTES, 10);
         assert!(!metrics.wal_warned.load(Ordering::Relaxed));
-        metrics.wal_committed(WAL_WARN_BYTES + 1, 10, true);
+        metrics.wal_committed(WAL_WARN_BYTES + 1, 10);
         assert!(metrics.wal_warned.load(Ordering::Relaxed));
         metrics.snapshot_installed(0, 1);
         assert!(

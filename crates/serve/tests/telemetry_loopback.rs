@@ -2,8 +2,8 @@
 //! [`NetServer`], a mixed workload (exact / tiered / auto queries, updates,
 //! a standing query, a rejection), then the full telemetry read-back —
 //! the `Metrics` opcode, the Prometheus text scrape, `stats_now`, and the
-//! flight recorder — with every pipeline-stage histogram asserted live and
-//! consistent with the delivered answers.
+//! flight recorder — with every pipeline-stage and engine-phase histogram
+//! asserted live and consistent with the delivered answers.
 
 use kspr::{Algorithm, KsprConfig};
 use kspr_serve::{NetServer, ServeOptions, Server, ShardedEngine, Stage};
@@ -203,6 +203,12 @@ fn every_pipeline_stage_is_measured_and_served_live() {
     );
     // The exact engine reported its own wall time for the exact answers.
     assert_eq!(summary(&report, "kspr_engine_wall_ns").count, 2);
+    // ...and its per-phase breakdown, one observation per exact answer in
+    // every phase a `Timing` block reports.
+    for (phase, _) in kspr::Timing::default().iter() {
+        let name = format!("kspr_phase_{phase}_ns");
+        assert_eq!(summary(&report, &name).count, 2, "{name}");
+    }
     assert!(summary(&report, "kspr_wal_commit_ns").count >= 4);
 
     // The WAL gauges reflect the committed (not yet snapshotted) tail.

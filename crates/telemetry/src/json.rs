@@ -30,6 +30,23 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// An object with `pairs` as its members, in the given order.
+    pub fn object<K: Into<String>>(pairs: impl IntoIterator<Item = (K, JsonValue)>) -> Self {
+        JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// True when every number this value holds is finite — the only values
+    /// [`write_json_into`] renders faithfully (it writes `null` for the
+    /// others).
+    pub fn is_finite(&self) -> bool {
+        match self {
+            JsonValue::Number(n) => n.is_finite(),
+            JsonValue::Array(items) => items.iter().all(JsonValue::is_finite),
+            JsonValue::Object(members) => members.iter().all(|(_, v)| v.is_finite()),
+            JsonValue::Null | JsonValue::Bool(_) | JsonValue::String(_) => true,
+        }
+    }
+
     /// The boolean value, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -76,6 +93,42 @@ impl JsonValue {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Number(n)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_string())
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> Self {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -242,7 +295,7 @@ fn parse_number(bytes: &[u8], at: &mut usize) -> Option<JsonValue> {
 
 /// Appends `text` to `out` with JSON string escaping applied (quotes,
 /// backslashes, and control characters).
-pub fn escape_json_into(text: &str, out: &mut String) {
+fn escape_json_into(text: &str, out: &mut String) {
     for ch in text.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -402,6 +455,35 @@ mod tests {
             &mut nan,
         );
         assert_eq!(nan, "[null]");
+    }
+
+    #[test]
+    fn builders_round_trip_and_finiteness_is_checked_deeply() {
+        let doc = JsonValue::object([
+            ("scale", JsonValue::from("quick")),
+            ("n", 1500usize.into()),
+            ("count", 7u64.into()),
+            ("ratio", 0.25.into()),
+            ("ok", true.into()),
+            ("rows", vec![1.0, 2.5].into()),
+        ]);
+        let mut written = String::new();
+        write_json_into(&doc, &mut written);
+        let parsed = parse_json(&written).expect("valid document");
+        assert_eq!(parsed, doc, "{written}");
+        assert_eq!(parsed.get("n").and_then(JsonValue::as_f64), Some(1500.0));
+        assert_eq!(
+            parsed.get("scale").and_then(JsonValue::as_str),
+            Some("quick")
+        );
+        assert!(doc.is_finite());
+
+        let nested_nan = JsonValue::object([(
+            "rows",
+            JsonValue::from(vec![JsonValue::object([("v", f64::NAN.into())])]),
+        )]);
+        assert!(!nested_nan.is_finite());
+        assert!(!JsonValue::from(f64::INFINITY).is_finite());
     }
 
     #[test]

@@ -35,7 +35,7 @@ mod trace;
 
 pub use histogram::{bucket_high, bucket_index, bucket_low, Histogram, HistogramSnapshot};
 pub use histogram::{NUM_BUCKETS, SUBBUCKETS};
-pub use json::{escape_json_into, parse_json, write_json_into, JsonValue};
+pub use json::{parse_json, write_json_into, JsonValue};
 pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use span::{chrome_trace_json, FlightRecorder, Span, SpanId, TraceId, TraceRecord};
 pub use trace::{RequestTrace, Stage, StageTimings};

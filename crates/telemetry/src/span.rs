@@ -8,9 +8,8 @@
 //! mutex) — and [`chrome_trace_json`] renders any set of records as Chrome
 //! Trace Event Format JSON, loadable in `chrome://tracing` or Perfetto.
 
-use crate::json::escape_json_into;
+use crate::json::{write_json_into, JsonValue};
 use std::borrow::Borrow;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -167,9 +166,9 @@ impl FlightRecorder {
     }
 }
 
-/// Nanosecond offset rendered as fractional chrome-trace microseconds.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// Nanosecond offset as fractional chrome-trace microseconds.
+fn micros(ns: u64) -> JsonValue {
+    JsonValue::from(ns as f64 / 1e3)
 }
 
 /// Renders `traces` as Chrome Trace Event Format JSON: one `"X"` (complete)
@@ -178,45 +177,47 @@ fn micros(ns: u64) -> String {
 /// each event's `args`.  The output loads in `chrome://tracing` / Perfetto
 /// and parses with [`crate::parse_json`].
 pub fn chrome_trace_json<T: Borrow<TraceRecord>>(traces: &[T]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |event: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push_str(&event);
-    };
+    let mut events = Vec::new();
     for (lane, record) in traces.iter().enumerate() {
         let record = record.borrow();
-        let tid = lane + 1;
-        push(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"trace 0x{:016x}\"}}}}",
-                record.trace_id.0
+        let tid = JsonValue::from(lane + 1);
+        let trace_id = format!("0x{:016x}", record.trace_id.0);
+        events.push(JsonValue::object([
+            ("name", JsonValue::from("thread_name")),
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.clone()),
+            (
+                "args",
+                JsonValue::object([("name", JsonValue::String(format!("trace {trace_id}")))]),
             ),
-            &mut out,
-        );
+        ]));
         for span in &record.spans {
-            let mut event = String::from("{\"name\":\"");
-            escape_json_into(span.name, &mut event);
-            let _ = write!(
-                event,
-                "\",\"cat\":\"kspr\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"trace_id\":\"0x{:016x}\",\"span_id\":{}",
-                micros(span.start_ns),
-                micros(span.duration_ns()),
-                record.trace_id.0,
-                span.id.0
-            );
+            let mut args = vec![
+                ("trace_id", JsonValue::String(trace_id.clone())),
+                ("span_id", u64::from(span.id.0).into()),
+            ];
             if let Some(parent) = span.parent {
-                let _ = write!(event, ",\"parent_id\":{}", parent.0);
+                args.push(("parent_id", u64::from(parent.0).into()));
             }
-            event.push_str("}}");
-            push(event, &mut out);
+            events.push(JsonValue::object([
+                ("name", JsonValue::from(span.name)),
+                ("cat", "kspr".into()),
+                ("ph", "X".into()),
+                ("ts", micros(span.start_ns)),
+                ("dur", micros(span.duration_ns())),
+                ("pid", 1u64.into()),
+                ("tid", tid.clone()),
+                ("args", JsonValue::object(args)),
+            ]));
         }
     }
-    out.push_str("]}");
+    let document = JsonValue::object([
+        ("displayTimeUnit", JsonValue::from("ns")),
+        ("traceEvents", JsonValue::Array(events)),
+    ]);
+    let mut out = String::new();
+    write_json_into(&document, &mut out);
     out
 }
 

@@ -220,7 +220,7 @@ pub enum ErrorCode {
     /// limit.
     Overloaded = 3,
     /// Admission control rejected the request: the client exhausted its
-    /// in-flight quota.
+    /// quota of queued, undispatched queries.
     QuotaExceeded = 4,
     /// The server is shutting down.
     Shutdown = 5,
