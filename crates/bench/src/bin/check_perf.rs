@@ -11,7 +11,8 @@
 //!   every section found in the file is checked.
 //!
 //! Checks, per section: the section parses as a JSON object, carries a
-//! `"scale"` tag, and every number in it is finite.  The speedup-style
+//! `"scale"` tag and a positive integer `"cores"` count (the host it was
+//! recorded on), and every number in it is finite.  The speedup-style
 //! sections (`batch`, `update`, `approx`) get structural checks on top:
 //! they must report positive timings and drawn samples.  Exits non-zero
 //! with a message on the first failure, so a workflow step can gate on it
@@ -43,6 +44,12 @@ fn check_section(name: &str, section: &JsonValue) {
     }
     if section.get("scale").and_then(|v| v.as_str()).is_none() {
         fail(format!("section `{name}` is missing its `scale` tag"));
+    }
+    let cores = section.get("cores").and_then(|v| v.as_f64());
+    if !cores.is_some_and(|c| c >= 1.0 && c.fract() == 0.0) {
+        fail(format!(
+            "section `{name}` is missing a positive integer `cores` count"
+        ));
     }
     if !section.is_finite() {
         fail(format!("section `{name}` contains a non-finite number"));

@@ -14,21 +14,16 @@
 //!   sharded serving front-end vs a single engine), `monitor`
 //!   (beyond-the-paper: standing-query patching vs naive re-run), `approx`
 //!   (beyond-the-paper: the guaranteed-error approximate tier — the
-//!   speed/quality frontier and Auto routing), `parallel` (beyond-the-paper:
-//!   intra-query work-stealing CellTree expansion — single-query latency and
-//!   batch throughput vs worker count, also emitted as machine-readable
-//!   `BENCH_perf.json`), `recovery` (beyond-the-paper: WAL commit overhead
-//!   and crash-recovery replay time of the durable serving store), or
-//!   `all`.  The `approx`, `batch`, `monitor`, `parallel`, `recovery`,
-//!   `serve`, and `update` experiments each update their own section of
-//!   `BENCH_perf.json`, and exit with status 1 when that write fails.
+//!   speed/quality frontier and Auto routing), `recovery` (beyond-the-paper:
+//!   WAL commit overhead and crash-recovery replay time of the durable
+//!   serving store), or `all`.  The `approx`, `batch`, `monitor`,
+//!   `recovery`, `serve`, and `update` experiments each update their own
+//!   section of `BENCH_perf.json` (tagged with the scale and the host's core
+//!   count), and exit with status 1 when that write fails.
 //!   Per-stage and per-phase latency percentiles of the serving pipeline
 //!   come from the client-side benchmark (`perfbench --trace 1`).
 //! * `[scale]` is `quick` (default) or `full`; the parameter values for each
 //!   scale are documented in `EXPERIMENTS.md`.
-//! * `parallel` accepts an optional third argument: a comma-separated
-//!   intra-query worker-count list (default `1,2,4`; the 1-worker baseline
-//!   is always measured).
 //!
 //! Every experiment prints the same rows / series the corresponding figure of
 //! the paper reports (response time, result size, processed records, …), so
@@ -46,16 +41,15 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let which = args.get(1).map(|s| s.as_str()).unwrap_or("all");
     let scale = Scale::parse(args.get(2).map(|s| s.as_str()).unwrap_or("quick"));
-    let extra = args.get(3).map(|s| s.as_str());
     let start = Instant::now();
-    run_experiment(which, scale, extra);
+    run_experiment(which, scale);
     eprintln!(
         "\n[experiments] total wall-clock: {:.1}s",
         start.elapsed().as_secs_f64()
     );
 }
 
-fn run_experiment(which: &str, scale: Scale, extra: Option<&str>) {
+fn run_experiment(which: &str, scale: Scale) {
     match which {
         "fig9" => fig9(scale),
         "fig10a" => fig10a(scale),
@@ -78,15 +72,14 @@ fn run_experiment(which: &str, scale: Scale, extra: Option<&str>) {
         "serve" => serve(scale),
         "monitor" => monitor(scale),
         "approx" => approx(scale),
-        "parallel" => parallel(scale, extra),
         "recovery" => recovery(scale),
         "all" => {
             for e in [
                 "fig9", "fig10a", "fig10b", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
                 "fig17", "fig18", "fig19", "fig20", "fig22", "fig23", "fig24", "batch", "update",
-                "serve", "monitor", "approx", "parallel", "recovery",
+                "serve", "monitor", "approx", "recovery",
             ] {
-                run_experiment(e, scale, None);
+                run_experiment(e, scale);
                 println!();
             }
         }
@@ -1645,119 +1638,6 @@ fn approx(scale: Scale) {
     );
 }
 
-fn parallel(scale: Scale, workers: Option<&str>) {
-    use kspr_bench::measure_parallel_scaling;
-    header(
-        "Intra-query parallelism: work-stealing CellTree expansion",
-        "beyond the paper — per-query worker pools + columnar kernels (see EXPERIMENTS.md)",
-    );
-    let p = params(scale);
-    let (n, k, rounds) = match scale {
-        Scale::Quick => (1_500, 10, 1),
-        Scale::Full => (8_000, 20, 3),
-    };
-    // Optional third CLI argument: a comma-separated worker-count list (e.g.
-    // `parallel quick 4`).  The 1-worker sequential baseline is always
-    // measured so every point has a speedup denominator.
-    let mut worker_counts: Vec<usize> = workers
-        .map(|spec| {
-            spec.split(',')
-                .filter_map(|w| w.trim().parse().ok())
-                .filter(|&w| w >= 1)
-                .collect()
-        })
-        .filter(|counts: &Vec<usize>| !counts.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4]);
-    if !worker_counts.contains(&1) {
-        worker_counts.insert(0, 1);
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let w = Workload::synthetic(Distribution::Independent, n, p.d_default, k, 66);
-    let config = KsprConfig::default();
-
-    // The two serving mixes of the update/approx experiments: "competitive"
-    // focals are arrangement-bound (the regime intra-query workers exist
-    // for), "lookup" focals are answered from preprocessing alone, so their
-    // numbers show the scheduling overhead floor.
-    let mixes = [("competitive", w.focals(2)), ("lookup", w.lookup_focals(8))];
-    println!(
-        "n = {n}, d = {}, k = {k}, cores = {cores} (P-CTA; LP-CTA is excluded — its \
-         look-ahead bound reports depend on expansion order, so it always runs sequentially)",
-        p.d_default
-    );
-    println!(
-        "{:<14} {:>8} {:>18} {:>12} {:>10} {:>14}",
-        "query mix", "workers", "single query (s)", "batch q/s", "speedup", "par. inserts"
-    );
-    let mut sweeps = Vec::new();
-    for (label, focals) in &mixes {
-        let sweep = measure_parallel_scaling(
-            &w,
-            focals,
-            k,
-            &config,
-            Algorithm::Pcta,
-            &worker_counts,
-            rounds,
-        );
-        for point in &sweep.points {
-            println!(
-                "{:<14} {:>8} {:>18.5} {:>12.2} {:>9.2}x {:>14}",
-                label,
-                point.workers,
-                point.single_query_secs,
-                point.batch_qps,
-                sweep.speedup_at(point.workers),
-                point.parallel_inserts,
-            );
-        }
-        let points = sweep
-            .points
-            .iter()
-            .map(|point| {
-                JsonValue::object([
-                    ("workers", point.workers.into()),
-                    ("single_query_secs", point.single_query_secs.into()),
-                    ("batch_qps", point.batch_qps.into()),
-                    (
-                        "speedup_vs_1_worker",
-                        sweep.speedup_at(point.workers).into(),
-                    ),
-                    ("parallel_inserts", point.parallel_inserts.into()),
-                ])
-            })
-            .collect::<Vec<_>>();
-        sweeps.push(JsonValue::object([
-            ("mix", JsonValue::from(*label)),
-            ("queries", sweep.queries.into()),
-            ("points", JsonValue::Array(points)),
-        ]));
-    }
-    println!(
-        "expected shape: on the competitive mix the single-query speedup approaches the \
-         worker count once workers <= cores (the LP-bound classify phase fans out; the \
-         apply phase stays sequential); the lookup mix is flat — those queries never \
-         reach the CellTree.  Results are asserted bit-identical across worker counts."
-    );
-
-    emit(
-        "parallel",
-        scale,
-        [
-            ("cores", cores.into()),
-            ("n", n.into()),
-            ("d", p.d_default.into()),
-            ("k", k.into()),
-            ("algorithm", "PCTA".into()),
-            (
-                "lp_cta_excluded",
-                "look-ahead bound reports depend on expansion order; always sequential".into(),
-            ),
-            ("mixes", JsonValue::Array(sweeps)),
-        ],
-    );
-}
-
 fn scale_label(scale: Scale) -> &'static str {
     if scale == Scale::Full {
         "full"
@@ -1766,14 +1646,21 @@ fn scale_label(scale: Scale) -> &'static str {
     }
 }
 
-/// Writes one experiment's section — `fields` after the `scale` tag — into
-/// `BENCH_perf.json` in the working directory (the repo root when run via
-/// `cargo run`) and exits non-zero when that fails, so a stale committed
-/// section never passes for a fresh one.
+/// Writes one experiment's section — `fields` after the `scale` and
+/// `cores` tags — into `BENCH_perf.json` in the working directory (the repo
+/// root when run via `cargo run`) and exits non-zero when that fails, so a
+/// stale committed section never passes for a fresh one.
 fn emit(section: &str, scale: Scale, fields: impl IntoIterator<Item = (&'static str, JsonValue)>) {
     let path = std::path::Path::new("BENCH_perf.json");
-    let body =
-        JsonValue::object(std::iter::once(("scale", scale_label(scale).into())).chain(fields));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let body = JsonValue::object(
+        [
+            ("scale", scale_label(scale).into()),
+            ("cores", cores.into()),
+        ]
+        .into_iter()
+        .chain(fields),
+    );
     match kspr_bench::write_bench_perf_section(path, section, body) {
         Ok(()) => eprintln!("[{section}] wrote {}", path.display()),
         Err(err) => {

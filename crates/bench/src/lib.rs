@@ -870,135 +870,6 @@ pub fn measure_approx_frontier(
     }
 }
 
-/// One worker count's measurement in an intra-query parallel scaling sweep
-/// ([`measure_parallel_scaling`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelPoint {
-    /// Intra-query workers granted per query
-    /// ([`KsprConfig::intra_query_threads`]).
-    pub workers: usize,
-    /// Average wall-clock seconds per query, queries answered one at a time
-    /// through [`QueryEngine::run`] — the single-query latency the workers
-    /// exist to cut.
-    pub single_query_secs: f64,
-    /// Queries per second through [`QueryEngine::run_batch`] (the whole
-    /// focal set per call).
-    pub batch_qps: f64,
-    /// Parallel CellTree insertions observed across the warm-up runs
-    /// (0 means every insertion took the sequential path — the tree stayed
-    /// under the parallel threshold or `workers == 1`).
-    pub parallel_inserts: usize,
-}
-
-/// Outcome of one intra-query parallel scaling sweep
-/// ([`measure_parallel_scaling`]): one [`ParallelPoint`] per worker count.
-#[derive(Debug, Clone)]
-pub struct ParallelScaling {
-    /// Algorithm that was swept.
-    pub algorithm: Algorithm,
-    /// Queries per measurement point.
-    pub queries: usize,
-    /// One measurement per requested worker count, in input order.
-    pub points: Vec<ParallelPoint>,
-}
-
-impl ParallelScaling {
-    /// Single-query latency speedup of the `workers` point relative to the
-    /// 1-worker point (0.0 if either point was not measured).
-    pub fn speedup_at(&self, workers: usize) -> f64 {
-        let base = self.points.iter().find(|p| p.workers == 1);
-        let at = self.points.iter().find(|p| p.workers == workers);
-        match (base, at) {
-            (Some(b), Some(a)) => b.single_query_secs / a.single_query_secs.max(1e-12),
-            _ => 0.0,
-        }
-    }
-}
-
-/// Measures the same focal set at every worker count in `worker_counts`:
-/// single-query latency (queries answered one at a time) and batch
-/// throughput (`run_batch` over the whole set), each averaged over `rounds`
-/// timed repetitions on a warmed engine.
-///
-/// Parallel expansion is specified to be **bit-identical** to sequential
-/// expansion (the work-stealing pool only reorders the read-only classify
-/// phase; the apply phase replays decisions in the sequential DFS order), so
-/// every worker count's results are asserted equal to the first count's —
-/// region counts, rank signatures and the work-visible stats (the timing
-/// block, with its `parallel_inserts` scheduling counter, compares equal).
-///
-/// # Panics
-/// Panics if any worker count changes any query's result or stats.
-pub fn measure_parallel_scaling(
-    workload: &Workload,
-    focals: &[Vec<f64>],
-    k: usize,
-    config: &KsprConfig,
-    algorithm: Algorithm,
-    worker_counts: &[usize],
-    rounds: usize,
-) -> ParallelScaling {
-    let mut reference: Option<Vec<KsprResult>> = None;
-    let mut points = Vec::new();
-    for &workers in worker_counts {
-        let engine = QueryEngine::new(
-            &workload.dataset,
-            config.clone().with_intra_query_threads(workers.max(1)),
-        );
-        // Warm the shared prep and verify against the first worker count.
-        let warm: Vec<KsprResult> = focals.iter().map(|f| engine.run(algorithm, f, k)).collect();
-        let parallel_inserts: usize = warm.iter().map(|r| r.stats.phases.parallel_inserts).sum();
-        match &reference {
-            None => reference = Some(warm),
-            Some(want) => {
-                for (got, want) in warm.iter().zip(want) {
-                    assert_eq!(
-                        got.num_regions(),
-                        want.num_regions(),
-                        "worker count {workers} changed a region count"
-                    );
-                    assert_eq!(
-                        got.rank_signature(),
-                        want.rank_signature(),
-                        "worker count {workers} changed a rank signature"
-                    );
-                    assert_eq!(
-                        got.stats, want.stats,
-                        "worker count {workers} changed the stats-visible work"
-                    );
-                }
-            }
-        }
-
-        let start = Instant::now();
-        for _ in 0..rounds.max(1) {
-            for focal in focals {
-                let _ = engine.run(algorithm, focal, k);
-            }
-        }
-        let timed = (rounds.max(1) * focals.len()).max(1);
-        let single_query_secs = start.elapsed().as_secs_f64() / timed as f64;
-
-        let start = Instant::now();
-        for _ in 0..rounds.max(1) {
-            let _ = engine.run_batch(algorithm, focals, k);
-        }
-        let batch_qps = timed as f64 / start.elapsed().as_secs_f64().max(1e-12);
-
-        points.push(ParallelPoint {
-            workers: workers.max(1),
-            single_query_secs,
-            batch_qps,
-            parallel_inserts,
-        });
-    }
-    ParallelScaling {
-        algorithm,
-        queries: focals.len(),
-        points,
-    }
-}
-
 /// Writes one experiment's section into the sectioned perf file at `path`
 /// (`BENCH_perf.json`), keeping every other top-level section already in
 /// the file, so the sectioned experiments compose regardless of order.
@@ -1462,108 +1333,6 @@ mod tests {
             "estimate error {:.4} far outside the {:.2} budget",
             best.max_error,
             budget.epsilon
-        );
-    }
-
-    #[test]
-    fn parallel_scaling_sweep_is_identical_at_every_worker_count() {
-        // Runs on any machine (thread pools oversubscribe a single core
-        // gracefully): the sweep's internal assertions verify bit-identical
-        // results and stats at 1, 2 and 4 workers, and the telemetry shows
-        // the multi-worker engines actually took the parallel path.  The
-        // workload must build trees whose *resident* node count crosses the
-        // engine's parallel threshold — P-CTA's subtree reclamation keeps
-        // small-k trees below it no matter how many nodes they create — so
-        // it uses d = 4, where elimination bites later.
-        let k = 10;
-        let w = Workload::synthetic(Distribution::Independent, 1_500, 4, k, 66);
-        let focals = w.focals(2);
-        let sweep = measure_parallel_scaling(
-            &w,
-            &focals,
-            k,
-            &KsprConfig::default(),
-            Algorithm::Pcta,
-            &[1, 2, 4],
-            1,
-        );
-        assert_eq!(sweep.points.len(), 3);
-        assert_eq!(
-            sweep.points[0].parallel_inserts, 0,
-            "1 worker never takes the parallel path"
-        );
-        assert!(
-            sweep.points[1].parallel_inserts > 0 && sweep.points[2].parallel_inserts > 0,
-            "multi-worker engines must engage the parallel insertion path: {:?}",
-            sweep.points
-        );
-        assert!(sweep.points.iter().all(|p| p.batch_qps > 0.0));
-        assert!(sweep.speedup_at(4) > 0.0);
-    }
-
-    #[test]
-    fn intra_query_parallelism_halves_single_query_latency_at_4_workers() {
-        // The acceptance bar for intra-query parallelism: on the
-        // arrangement-bound competitive mix (skyband-adjacent focal records,
-        // where CellTree expansion dominates the query), 4 intra-query
-        // workers must answer single queries >= 2x faster than 1 worker.
-        // The mechanism: the classify phase of every insertion — the LP
-        // feasibility tests that dominate expansion cost — fans out over the
-        // work-stealing pool, while the cheap apply phase replays the
-        // decisions sequentially, so the speedup approaches the worker count
-        // on LP-bound queries.  The bar needs real cores, so the test skips
-        // itself on smaller machines; like the other perf bars it is retried
-        // a couple of times and the best ratio taken to keep the suite
-        // flake-free.  `measure_parallel_scaling` additionally asserts
-        // bit-identical results and stats across worker counts on every try.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores < 4 {
-            eprintln!(
-                "skipping intra_query_parallelism_halves_single_query_latency_at_4_workers: \
-                 {cores} core(s) < 4 — the speedup bar needs real parallelism"
-            );
-            return;
-        }
-        let k = 16;
-        let w = Workload::synthetic(Distribution::Independent, 3_000, 4, k, 63);
-        let focals = w.focals(2);
-        let mut best: Option<ParallelScaling> = None;
-        for _ in 0..3 {
-            let sweep = measure_parallel_scaling(
-                &w,
-                &focals,
-                k,
-                &KsprConfig::default(),
-                Algorithm::Pcta,
-                &[1, 4],
-                2,
-            );
-            let p4 = sweep
-                .points
-                .iter()
-                .find(|p| p.workers == 4)
-                .expect("the 4-worker point was measured");
-            assert!(
-                p4.parallel_inserts > 0,
-                "the 4-worker engine must engage the parallel insertion path"
-            );
-            if best
-                .as_ref()
-                .map_or(true, |b| sweep.speedup_at(4) > b.speedup_at(4))
-            {
-                best = Some(sweep);
-            }
-            if best.as_ref().expect("just set").speedup_at(4) >= 2.0 {
-                break;
-            }
-        }
-        let best = best.expect("at least one measurement ran");
-        assert!(
-            best.speedup_at(4) >= 2.0,
-            "4 intra-query workers must answer single queries >= 2x faster than 1, \
-             got {:.2}x ({:?})",
-            best.speedup_at(4),
-            best.points
         );
     }
 

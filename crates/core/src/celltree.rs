@@ -36,30 +36,25 @@
 //!
 //! Inserting a hyperplane is split into two phases:
 //!
-//! 1. **Classify** (read-only): walk the affected subtrees and decide, for
-//!    every visited node, which insertion case applies — running the LP
-//!    feasibility tests, the witness shortcuts and the dominance shortcut.
-//!    Within a single insertion every node's decision depends only on the
-//!    *pre-insertion* tree (cover pushes happen exactly where the walk
-//!    terminates, never above a visited descendant), so the classification
-//!    of independent subtrees is embarrassingly parallel:
-//!    [`CellTree::insert_parallel`] fans it out over a work-stealing pool,
-//!    while [`CellTree::insert`] drains the same task list on one thread.
-//! 2. **Apply** (sequential, deterministic): replay the recorded decisions
-//!    in the fixed depth-first order of the classic recursive insertion.
-//!    Node allocation order, live-leaf registration order, cover-set order,
-//!    witness seeds and elimination bubbling are therefore **identical**
-//!    regardless of how the classification was scheduled — parallel and
-//!    sequential insertion produce bit-for-bit the same tree.
+//! 1. **Classify** (read-only): walk the affected subtrees from an explicit
+//!    task stack and decide, for every visited node, which insertion case
+//!    applies — running the LP feasibility tests, the witness shortcuts and
+//!    the dominance shortcut.  Within a single insertion every node's
+//!    decision depends only on the *pre-insertion* tree (cover pushes happen
+//!    exactly where the walk terminates, never above a visited descendant),
+//!    so the walk never observes its own edits.
+//! 2. **Apply** (deterministic): replay the recorded decisions in the fixed
+//!    depth-first order of the classic recursive insertion.  Node allocation
+//!    order, live-leaf registration order, cover-set order, witness seeds
+//!    and elimination bubbling therefore follow the recursive algorithm
+//!    exactly, whatever order the classify stack visited the nodes in.
 
 use crate::hyperplanes::HyperplaneStore;
 use crate::stats::QueryStats;
 use kspr_geometry::{ConstraintSystem, Halfspace, PreferenceSpace, Sign};
 use kspr_lp::{interior_point_counted, LinearConstraint};
-use rayon::{Scope, ThreadPool};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
 
 /// Sentinel for "no entry" in the cover arena's `u32` links.
 const COVER_NONE: u32 = u32::MAX;
@@ -231,9 +226,8 @@ enum NodeStep {
 }
 
 /// A unit of classification work: one node plus the path context the
-/// feasibility tests need.  Forking at an internal node hands the right
-/// child off as a new task (stolen by idle workers under
-/// [`CellTree::insert_parallel`]) and continues into the left child.
+/// feasibility tests need.  Forking at an internal node pushes the right
+/// child onto the task stack and continues into the left child.
 struct ClassifyTask {
     idx: usize,
     /// Positive halfspaces contributed by the ancestors of `idx`.
@@ -257,9 +251,8 @@ impl ClassifyTask {
 }
 
 /// Classification output: recorded steps plus the statistics deltas the
-/// classified work generated.  Per-task outputs are merged; merging is
-/// order-insensitive because steps are keyed by node index and the counters
-/// are sums.
+/// classified work generated.  Steps are keyed by node index, so the apply
+/// phase does not depend on the order they were recorded in.
 #[derive(Debug, Default)]
 struct ClassifyOut {
     steps: Vec<(usize, NodeStep)>,
@@ -274,21 +267,8 @@ struct ClassifyOut {
     lp_pivots: usize,
 }
 
-impl ClassifyOut {
-    fn absorb(&mut self, other: &mut ClassifyOut) {
-        self.steps.append(&mut other.steps);
-        self.feasibility_tests += other.feasibility_tests;
-        self.lp_constraints += other.lp_constraints;
-        self.witness_hits += other.witness_hits;
-        self.lp_ns += other.lp_ns;
-        self.lp_pivots += other.lp_pivots;
-    }
-}
-
-/// Read-only view of everything the classification phase needs.  Borrowing
-/// the node and cover arenas directly (instead of `&CellTree`) keeps the
-/// view `Sync` — the tree's live-leaf index uses interior mutability and is
-/// not touched during classification.
+/// Read-only view of everything the classification phase needs: the node
+/// and cover arenas of the pre-insertion tree plus the incoming plane.
 struct ClassifyCtx<'a> {
     nodes: &'a [CellNode],
     covers: &'a CoverArena,
@@ -330,7 +310,7 @@ impl ClassifyCtx<'_> {
 
     /// Runs the LP feasibility test "is `node ∩ (side of plane)` empty?" and
     /// returns a strictly interior witness if it is not.  `lp_buf` is the
-    /// reused constraint-assembly scratch of the calling worker.
+    /// tree's reused constraint-assembly scratch.
     ///
     /// Constraints: the space boundary, the edge labels on the node's root
     /// path (always), the cover sets on the path (only when Lemma 2 is
@@ -366,16 +346,15 @@ impl ClassifyCtx<'_> {
 }
 
 /// Classifies one task: descends the left spine of the affected subtree,
-/// handing right children to `fork` (a local stack when sequential, a
-/// work-stealing spawn when parallel).  Decisions are read-only with respect
-/// to the tree; see the module docs for why that makes the parallel schedule
-/// irrelevant to the outcome.
+/// pushing right children onto `stack`.  Decisions are read-only with
+/// respect to the tree; see the module docs for why that makes the visiting
+/// order irrelevant to the outcome.
 fn classify_task(
     ctx: &ClassifyCtx<'_>,
     mut task: ClassifyTask,
     out: &mut ClassifyOut,
     lp_buf: &mut Vec<LinearConstraint>,
-    fork: &mut dyn FnMut(ClassifyTask),
+    stack: &mut Vec<ClassifyTask>,
 ) {
     loop {
         let idx = task.idx;
@@ -510,7 +489,7 @@ fn classify_task(
         let r_edge = ctx.nodes[r].edge.expect("non-root node has an edge");
         let mut r_path = task.path_strict.clone();
         r_path.push(ctx.store.constraint(r_edge, true));
-        fork(ClassifyTask {
+        stack.push(ClassifyTask {
             idx: r,
             acc_pos: acc_here,
             path_strict: r_path,
@@ -522,40 +501,6 @@ fn classify_task(
         task.idx = l;
         task.acc_pos = acc_here;
     }
-}
-
-/// Shared state of one parallel classification: the read-only view, the
-/// merged output, and a pool of per-worker LP scratch buffers (checked out
-/// per task, so a worker reuses one buffer across the tasks it executes).
-struct ParallelClassify<'a> {
-    ctx: ClassifyCtx<'a>,
-    collected: Mutex<ClassifyOut>,
-    scratch: Mutex<Vec<Vec<LinearConstraint>>>,
-}
-
-/// Runs one classification task on the pool, spawning forked subtasks onto
-/// the same scope.
-fn run_classify<'s>(shared: &'s ParallelClassify<'_>, scope: &Scope<'s>, task: ClassifyTask) {
-    let mut lp_buf = shared
-        .scratch
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .pop()
-        .unwrap_or_default();
-    let mut out = ClassifyOut::default();
-    classify_task(&shared.ctx, task, &mut out, &mut lp_buf, &mut |forked| {
-        scope.spawn(move |scope| run_classify(shared, scope, forked));
-    });
-    shared
-        .collected
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .absorb(&mut out);
-    shared
-        .scratch
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(lp_buf);
 }
 
 /// The incremental arrangement index of Section 4.
@@ -585,11 +530,11 @@ pub struct CellTree {
     /// per-round cost proportional to the number of *candidate* leaves
     /// instead of the O(total nodes) arena scan it replaces.  Interior
     /// mutability (`RefCell`) lets the read path self-compact; the index is
-    /// never touched by the (parallel) classification phase.
+    /// never touched by the classification phase.
     live_leaves: RefCell<Vec<(usize, u32)>>,
     /// Reused decision-map scratch for the apply phase.
     steps: HashMap<usize, NodeStep>,
-    /// Reused LP-assembly scratch for sequential insertion.
+    /// Reused LP-assembly scratch for insertion.
     lp_scratch: Vec<LinearConstraint>,
 }
 
@@ -944,44 +889,11 @@ impl CellTree {
             let ctx = self.classify_ctx(store, plane, dominator_planes);
             let mut stack = vec![ClassifyTask::root(self.root)];
             while let Some(task) = stack.pop() {
-                classify_task(&ctx, task, &mut out, &mut lp_buf, &mut |forked| {
-                    stack.push(forked)
-                });
+                classify_task(&ctx, task, &mut out, &mut lp_buf, &mut stack);
             }
         }
         self.lp_scratch = lp_buf;
         self.finish_insert(plane, out, stats);
-    }
-
-    /// Like [`CellTree::insert`], but classifying independent subtrees
-    /// concurrently on `pool`'s work-stealing workers (with per-worker LP
-    /// scratch).  The decisions are applied in the same deterministic
-    /// depth-first order as the sequential path, so the resulting tree —
-    /// node indices, live-leaf order, witnesses, statistics — is
-    /// bit-for-bit identical to what [`CellTree::insert`] produces.
-    pub fn insert_parallel(
-        &mut self,
-        store: &HyperplaneStore,
-        plane: usize,
-        dominator_planes: &HashSet<usize>,
-        stats: &mut QueryStats,
-        pool: &ThreadPool,
-    ) {
-        let out = {
-            let shared = ParallelClassify {
-                ctx: self.classify_ctx(store, plane, dominator_planes),
-                collected: Mutex::new(ClassifyOut::default()),
-                scratch: Mutex::new(Vec::new()),
-            };
-            let root = self.root;
-            pool.scope(|scope| run_classify(&shared, scope, ClassifyTask::root(root)));
-            shared
-                .collected
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-        };
-        self.finish_insert(plane, out, stats);
-        stats.phases.parallel_inserts += 1;
     }
 
     /// Merges classification statistics and replays the recorded decisions
@@ -1315,92 +1227,6 @@ mod tests {
             planes.sort_unstable();
             planes.dedup();
             assert_eq!(planes, vec![0, 1, 2, 3], "leaf {leaf} misses a plane");
-        }
-    }
-
-    /// Test-local dominance oracle (avoids a dev-dependency on kspr-spatial).
-    fn dominates(a: &[f64], b: &[f64]) -> bool {
-        a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
-    }
-
-    /// A complete structural fingerprint of the tree: every arena slot's
-    /// fields (including reclaimed slots), the creation counter, and the
-    /// promising-leaf list in index order.
-    #[allow(clippy::type_complexity)]
-    fn structural_signature(
-        tree: &CellTree,
-    ) -> (
-        usize,
-        usize,
-        Vec<(
-            Option<usize>,
-            Option<Halfspace>,
-            Option<(usize, usize)>,
-            bool,
-            bool,
-            Option<Vec<f64>>,
-            Vec<Halfspace>,
-        )>,
-        Vec<usize>,
-    ) {
-        let nodes = (0..tree.num_nodes())
-            .map(|i| {
-                let n = tree.node(i);
-                (
-                    n.parent,
-                    n.edge,
-                    n.children,
-                    n.eliminated,
-                    n.reported,
-                    n.witness.clone(),
-                    tree.cover_halfspaces(i),
-                )
-            })
-            .collect();
-        (
-            tree.num_nodes(),
-            tree.nodes_created(),
-            nodes,
-            tree.promising_leaves(),
-        )
-    }
-
-    #[test]
-    fn parallel_insert_is_bit_identical_to_sequential() {
-        for threads in [2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool builds");
-            for k in 1..=4 {
-                let (mut store_seq, records) = demo();
-                let (mut store_par, _) = demo();
-                let mut seq = CellTree::new(*store_seq.space(), k, true, true);
-                let mut par = CellTree::new(*store_par.space(), k, true, true);
-                let mut stats_seq = QueryStats::new();
-                let mut stats_par = QueryStats::new();
-                for (i, r) in records.iter().enumerate() {
-                    // P-CTA-style dominator sets so the dominance-shortcut
-                    // decision is exercised on both paths.
-                    let doms: HashSet<usize> = records[..i]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| dominates(p, r))
-                        .map(|(j, _)| j)
-                        .collect();
-                    let plane_seq = store_seq.add(i, r);
-                    seq.insert(&store_seq, plane_seq, &doms, &mut stats_seq);
-                    let plane_par = store_par.add(i, r);
-                    par.insert_parallel(&store_par, plane_par, &doms, &mut stats_par, &pool);
-                    assert_eq!(
-                        structural_signature(&seq),
-                        structural_signature(&par),
-                        "threads={threads} k={k} after record {i}"
-                    );
-                }
-                assert_eq!(stats_par.phases.parallel_inserts, records.len());
-                assert_eq!(stats_seq, stats_par, "threads={threads} k={k}");
-            }
         }
     }
 

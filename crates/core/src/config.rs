@@ -42,16 +42,6 @@ pub struct KsprConfig {
     /// Simulated I/O cost model (Appendix A).  `None` disables I/O accounting
     /// in the reported statistics.
     pub io_model: Option<IoCostModel>,
-    /// Number of worker threads a single query may use for intra-query
-    /// parallelism (work-stealing CellTree frontier classification).
-    ///
-    /// `0` (the default) means *auto*: divide the machine's cores evenly
-    /// among the queries expected to run concurrently (so an exclusive
-    /// single query gets every core, while `run_batch` splits them).  `1`
-    /// forces the fully sequential path.  LP-CTA always runs sequentially —
-    /// its look-ahead bound reporting is schedule-sensitive — regardless of
-    /// this knob.
-    pub intra_query_threads: usize,
 }
 
 impl Default for KsprConfig {
@@ -63,7 +53,6 @@ impl Default for KsprConfig {
             bound_mode: BoundMode::Fast,
             shards: 1,
             io_model: None,
-            intra_query_threads: 0,
         }
     }
 }
@@ -100,29 +89,6 @@ impl KsprConfig {
         self.shards = shards;
         self
     }
-
-    /// Convenience: set the intra-query worker count (`0` = auto, see
-    /// [`KsprConfig::intra_query_threads`]).
-    pub fn with_intra_query_threads(mut self, threads: usize) -> Self {
-        self.intra_query_threads = threads;
-        self
-    }
-
-    /// Resolves [`KsprConfig::intra_query_threads`] to a concrete worker
-    /// count for one query, given how many queries are expected to run
-    /// concurrently (`run` passes 1, `run_batch` the batch width, the
-    /// serving dispatcher its in-flight count).
-    ///
-    /// Auto (`0`) divides the available cores evenly among the concurrent
-    /// queries and never grants fewer than one worker.  A worker count of
-    /// one means "run sequentially" (no pool is built at all).
-    pub fn resolve_intra_workers(&self, concurrent: usize) -> usize {
-        if self.intra_query_threads != 0 {
-            return self.intra_query_threads;
-        }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (cores / concurrent.max(1)).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -137,30 +103,6 @@ mod tests {
         assert!(c.use_witness);
         assert_eq!(c.bound_mode, BoundMode::Fast);
         assert_eq!(c.shards, 1, "serving defaults to a single shard");
-        assert_eq!(
-            c.intra_query_threads, 0,
-            "intra-query workers default to auto"
-        );
-    }
-
-    #[test]
-    fn intra_query_worker_resolution() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let auto = KsprConfig::default();
-        assert_eq!(auto.resolve_intra_workers(1), cores);
-        assert_eq!(auto.resolve_intra_workers(cores), 1);
-        assert_eq!(
-            auto.resolve_intra_workers(2 * cores),
-            1,
-            "auto never grants zero workers"
-        );
-        let explicit = KsprConfig::default().with_intra_query_threads(4);
-        assert_eq!(explicit.resolve_intra_workers(1), 4);
-        assert_eq!(
-            explicit.resolve_intra_workers(100),
-            4,
-            "an explicit count is honored regardless of concurrency"
-        );
     }
 
     #[test]

@@ -710,7 +710,7 @@ impl QueryEngine {
     /// Panics if `k == 0`, if the focal arity does not match the dataset, or
     /// if [`Algorithm::Rtopk`] is requested on non-2-dimensional data.
     pub fn run(&self, algorithm: Algorithm, focal: &[f64], k: usize) -> KsprResult {
-        self.run_shared(algorithm, focal, k, None, 1)
+        self.run_shared(algorithm, focal, k, None)
     }
 
     /// Runs the query for every focal record in parallel, sharing the
@@ -728,12 +728,9 @@ impl QueryEngine {
         let shared = policy_for(algorithm)
             .filter(|policy| policy.uses_shared_prep())
             .map(|_| self.shared_prep(k));
-        // The batch fans one query out per core, so each member's intra-query
-        // worker grant is resolved against the batch width.
-        let concurrent = focals.len().max(1);
         focals
             .par_iter()
-            .map(|focal| self.run_shared(algorithm, focal, k, shared.as_deref(), concurrent))
+            .map(|focal| self.run_shared(algorithm, focal, k, shared.as_deref()))
             .collect()
     }
 
@@ -743,11 +740,10 @@ impl QueryEngine {
         focal: &[f64],
         k: usize,
         shared: Option<&SharedPrep>,
-        concurrent: usize,
     ) -> KsprResult {
         let clock = std::time::Instant::now();
         let mut result = match policy_for(algorithm) {
-            Some(policy) => self.run_policy(policy.as_ref(), focal, k, shared, concurrent),
+            Some(policy) => self.run_policy(policy.as_ref(), focal, k, shared),
             // The sweep-based baselines have self-contained drivers.
             None => match algorithm {
                 Algorithm::Rtopk => run_rtopk(self.store.dataset(), focal, k),
@@ -766,7 +762,6 @@ impl QueryEngine {
         focal: &[f64],
         k: usize,
         shared: Option<&SharedPrep>,
-        concurrent: usize,
     ) -> KsprResult {
         let mut stats = QueryStats::new();
         let space = PreferenceSpace::new(focal.len(), self.config.space);
@@ -814,17 +809,8 @@ impl QueryEngine {
             shared,
             k,
         };
-        // Intra-query workers: LP-CTA's look-ahead bound reporting depends on
-        // the traversal schedule, so it always routes to the sequential path;
-        // the schedule-invariant policies (CTA, P-CTA, skyband) get the
-        // resolved worker grant.
-        let workers = if policy.use_rank_bounds() {
-            1
-        } else {
-            self.config.resolve_intra_workers(concurrent)
-        };
         let expansion_clock = std::time::Instant::now();
-        let mut traversal = Traversal::new(&filtered, focal, &self.config, stats, shared, workers);
+        let mut traversal = Traversal::new(&filtered, focal, &self.config, stats, shared);
         let mut batch = policy.initial_batch(&query);
 
         'expansion: loop {
@@ -934,19 +920,12 @@ struct Traversal<'a> {
     /// plane index per processed (filtered) record id.
     plane_of: HashMap<RecordId, usize>,
     processed: HashSet<RecordId>,
-    /// Work-stealing pool for frontier classification (`None` when the
-    /// query's worker grant is one — the fully sequential path).
-    pool: Option<rayon::ThreadPool>,
     /// Reused scratch for path-halfspace collection (`region_of`, rank-bound
     /// cell systems).
     path_scratch: Vec<Halfspace>,
     /// Reused scratch for full-halfspace collection (pivot stage).
     full_scratch: Vec<Halfspace>,
 }
-
-/// Trees below this size are classified sequentially even when a pool is
-/// available: forking a handful of nodes costs more than it buys.
-const PARALLEL_MIN_NODES: usize = 64;
 
 impl<'a> Traversal<'a> {
     fn new(
@@ -955,7 +934,6 @@ impl<'a> Traversal<'a> {
         config: &'a KsprConfig,
         stats: QueryStats,
         shared: Option<&'a SharedPrep>,
-        workers: usize,
     ) -> Self {
         let dim = focal.len();
         let space = PreferenceSpace::new(dim, config.space);
@@ -966,12 +944,6 @@ impl<'a> Traversal<'a> {
             config.use_lemma2,
             config.use_witness,
         );
-        let pool = (workers > 1).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .expect("intra-query worker pool builds")
-        });
         Self {
             filtered,
             focal,
@@ -984,7 +956,6 @@ impl<'a> Traversal<'a> {
             regions: Vec::new(),
             plane_of: HashMap::new(),
             processed: HashSet::new(),
-            pool,
             path_scratch: Vec::new(),
             full_scratch: Vec::new(),
         }
@@ -1012,20 +983,8 @@ impl<'a> Traversal<'a> {
         } else {
             HashSet::new()
         };
-        match &self.pool {
-            // Tiny trees fork less work than the scheduling costs; classify
-            // them inline.  Either path produces a bit-identical tree.
-            Some(pool) if self.tree.num_nodes() >= PARALLEL_MIN_NODES => self.tree.insert_parallel(
-                &self.store,
-                plane,
-                &dominator_planes,
-                &mut self.stats,
-                pool,
-            ),
-            _ => self
-                .tree
-                .insert(&self.store, plane, &dominator_planes, &mut self.stats),
-        }
+        self.tree
+            .insert(&self.store, plane, &dominator_planes, &mut self.stats);
     }
 
     /// The planes of the already-processed dominators of record `id` — the
@@ -1364,52 +1323,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn intra_query_parallelism_is_result_identical() {
-        // A deterministic pseudo-random dataset large enough that the
-        // CellTree crosses the PARALLEL_MIN_NODES gate.
-        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 11) as f64) / ((1_u64 << 53) as f64)
-        };
-        let raw: Vec<Vec<f64>> = (0..120)
-            .map(|_| (0..3).map(|_| 1.0 + 9.0 * next()).collect())
-            .collect();
-        let dataset = Dataset::new(raw);
-        // Near the skyline so preprocessing leaves a large arrangement.
-        let focal = vec![9.0, 3.0, 8.0];
-        let seq = QueryEngine::new(&dataset, KsprConfig::default().with_intra_query_threads(1));
-        let par = QueryEngine::new(&dataset, KsprConfig::default().with_intra_query_threads(4));
-        for alg in [Algorithm::Cta, Algorithm::Pcta] {
-            for k in [8, 12] {
-                let s = seq.run(alg, &focal, k);
-                let p = par.run(alg, &focal, k);
-                assert_eq!(s.stats.phases.parallel_inserts, 0, "{alg:?} k={k}");
-                assert!(
-                    p.stats.phases.parallel_inserts > 0,
-                    "{alg:?} k={k}: the parallel path never engaged"
-                );
-                assert_eq!(s.num_regions(), p.num_regions(), "{alg:?} k={k}");
-                // Every work counter is bit-identical, including the LP
-                // work performed.
-                assert_eq!(s.stats, p.stats, "{alg:?} k={k}");
-                for w in naive::sample_weights(&s.space, 60, 11) {
-                    assert_eq!(s.contains(&w), p.contains(&w), "{alg:?} k={k} at {w:?}");
-                }
-            }
-        }
-        // LP-CTA's bound reporting is schedule-sensitive: it must ignore the
-        // worker grant and run sequentially.
-        let lp = par.run(Algorithm::LpCta, &focal, 3);
-        assert_eq!(
-            lp.stats.phases.parallel_inserts, 0,
-            "LP-CTA routes sequentially"
-        );
     }
 
     #[test]

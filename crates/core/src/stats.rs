@@ -6,19 +6,17 @@
 //! counts and constraint counts (Figure 17), and simulated I/O (Figure 19).
 //! [`QueryStats`] collects all of them for a single kSPR query.
 
-/// Timing and scheduling metadata of one query: the engine's wall-clock
-/// time, the wall-clock nanoseconds spent in each engine phase (Section-3.1
-/// shared preparation with the columnar dominance kernel broken out,
-/// CellTree expansion, and the LP solves inside it), and how many hyperplane
-/// insertions ran on the work-stealing pool.
+/// Timing metadata of one query: the engine's wall-clock time and the
+/// wall-clock nanoseconds spent in each engine phase (Section-3.1 shared
+/// preparation with the columnar dominance kernel broken out, CellTree
+/// expansion, and the feasibility LPs inside it).
 ///
 /// The phases **overlap** rather than partition: `dominance_ns` is part of
-/// `prep_ns`, and `lp_ns` accrues mostly inside `expansion_ns` — they are
-/// span windows, not a disjoint sum.
+/// `prep_ns`, and `lp_ns` lies inside `expansion_ns` — they are span
+/// windows, not a disjoint sum.
 ///
 /// None of this is work: two runs of the same query never measure the same
-/// nanoseconds, and parallel and sequential insertion build bit-identical
-/// trees.  So `Timing`'s `PartialEq` always answers `true`, and every
+/// nanoseconds.  So `Timing`'s `PartialEq` always answers `true`, and every
 /// [`QueryStats`] comparison ignores the block while comparing every other
 /// field.
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,14 +31,12 @@ pub struct Timing {
     pub prep_ns: u64,
     /// CellTree expansion: hyperplane insertion through result collection.
     pub expansion_ns: u64,
-    /// LP solves — cell feasibility tests plus look-ahead bound
-    /// optimizations (§6).
+    /// The CellTree's cell feasibility LPs (§4.2).  The look-ahead bound
+    /// LPs of LP-CTA (§6) are not timed here; they count toward
+    /// `expansion_ns` only.
     pub lp_ns: u64,
     /// The columnar dominance kernel inside preparation.
     pub dominance_ns: u64,
-    /// Hyperplane insertions whose frontier classification ran on the
-    /// work-stealing pool (0 when the query ran fully sequentially).
-    pub parallel_inserts: usize,
 }
 
 impl Timing {
@@ -51,7 +47,6 @@ impl Timing {
         self.expansion_ns += other.expansion_ns;
         self.lp_ns += other.lp_ns;
         self.dominance_ns += other.dominance_ns;
-        self.parallel_inserts += other.parallel_inserts;
     }
 
     /// `(name, nanos)` pairs of the four engine phases in a stable order,
@@ -182,7 +177,6 @@ mod tests {
             expansion_ns: seed + 2,
             lp_ns: seed + 3,
             dominance_ns: seed + 4,
-            parallel_inserts: seed as usize + 5,
         }
     }
 
@@ -215,7 +209,6 @@ mod tests {
         assert_eq!(t.expansion_ns, 1014);
         assert_eq!(t.lp_ns, 1016);
         assert_eq!(t.dominance_ns, 1018);
-        assert_eq!(t.parallel_inserts, 1020);
     }
 
     #[test]
@@ -227,10 +220,6 @@ mod tests {
         let retimed = [
             Timing {
                 wall_ns: 7,
-                ..Default::default()
-            },
-            Timing {
-                parallel_inserts: 3,
                 ..Default::default()
             },
             Timing {

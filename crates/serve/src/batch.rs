@@ -299,17 +299,6 @@ pub(crate) fn run_jobs(
             focals.push(job.focal);
             rest.push((job.sink, job.trace, job.tier));
         }
-        // The dispatcher grants each query in the batch its intra-query
-        // worker share: the engines resolve the same grant internally
-        // (`KsprConfig::resolve_intra_workers` over the batch width), this
-        // mirrors it into the serving stats.  LP-CTA is always granted one
-        // worker — its look-ahead bound reports depend on expansion order,
-        // so the engine routes it through the sequential path.
-        let intra_grant = if algorithm == Algorithm::LpCta {
-            1
-        } else {
-            engine.config().resolve_intra_workers(focals.len())
-        };
         // Defense in depth: a panic inside the engine must not take the
         // dispatcher thread (and with it every pending ticket) down.  The
         // engine's caches recover from lock poisoning by rebuilding, so
@@ -331,10 +320,6 @@ pub(crate) fn run_jobs(
                 live.exact_queries.add(focals.len() as u64);
                 live.auto_routed_exact.add(auto_routed);
                 live.largest_batch.set_max(focals.len() as u64);
-                live.largest_intra_grant.set_max(intra_grant as u64);
-                if intra_grant > 1 {
-                    live.parallel_batches.inc();
-                }
                 for (((sink, mut trace, tier), result), engine_span) in
                     rest.into_iter().zip(results).zip(engine_spans)
                 {

@@ -622,51 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_grants_intra_query_workers_except_to_lpcta() {
-        // An explicit worker count wins over the core count, so this test is
-        // deterministic on any machine.
-        let engine = ShardedEngine::new(
-            vec![
-                vec![0.3, 0.8, 0.8],
-                vec![0.9, 0.4, 0.4],
-                vec![0.8, 0.3, 0.4],
-                vec![0.4, 0.3, 0.6],
-            ],
-            KsprConfig::default()
-                .with_shards(2)
-                .with_intra_query_threads(3),
-        );
-        let server = Server::start(engine, ServeOptions::default());
-        let handle = server.handle();
-        let cta = handle.submit_with(Algorithm::Cta, vec![0.5, 0.5, 0.7], 3);
-        let lp = handle.submit_with(Algorithm::LpCta, vec![0.5, 0.5, 0.7], 3);
-        let cta = cta.wait().expect("cta query");
-        let lp = lp.wait().expect("lp-cta query");
-        assert_eq!(cta.num_regions(), lp.num_regions());
-        let (_, stats) = server.shutdown();
-        assert_eq!(
-            stats.largest_intra_grant, 3,
-            "the CTA batch gets the configured worker grant"
-        );
-        assert_eq!(stats.parallel_batches, 1, "only the CTA batch is parallel");
-
-        // Without the CTA batch, LP-CTA alone never earns a grant above 1.
-        let engine = ShardedEngine::new(
-            vec![vec![0.3, 0.8, 0.8], vec![0.9, 0.4, 0.4]],
-            KsprConfig::default().with_intra_query_threads(4),
-        );
-        let server = Server::start(engine, ServeOptions::default());
-        let handle = server.handle();
-        handle
-            .submit(vec![0.5, 0.5, 0.7], 2)
-            .wait()
-            .expect("lp-cta");
-        let (_, stats) = server.shutdown();
-        assert_eq!(stats.largest_intra_grant, 1);
-        assert_eq!(stats.parallel_batches, 0);
-    }
-
-    #[test]
     fn invalid_requests_are_rejected_not_fatal() {
         let server = Server::start(demo_engine(2), ServeOptions::default());
         let handle = server.handle();

@@ -156,17 +156,6 @@ pub struct ServeStats {
     pub batches: u64,
     /// Largest query batch executed at once.
     pub largest_batch: usize,
-    /// Largest per-query intra-query worker grant the dispatcher made to an
-    /// exact batch.  The grant is [`kspr::KsprConfig::resolve_intra_workers`]
-    /// over the batch width — explicit `intra_query_threads` wins, `0`
-    /// divides the machine's cores across the batch — except for LP-CTA
-    /// batches, which are always granted 1 worker per query (the look-ahead
-    /// bound reports are expansion-order-sensitive, so LP-CTA expands its
-    /// cell tree sequentially; see `kspr::engine`).
-    pub largest_intra_grant: usize,
-    /// Exact batches answered with an intra-query worker grant above 1
-    /// (a subset of `batches`).
-    pub parallel_batches: u64,
     /// Updates (inserts + deletes) applied — and, on a durable server,
     /// committed to the WAL before their tickets were acknowledged.
     pub updates: u64,

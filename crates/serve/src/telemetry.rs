@@ -84,10 +84,10 @@ macro_rules! live_stats {
 
 live_stats! {
     counters: queries, exact_queries, approx_queries, auto_routed_exact, auto_routed_approx,
-        degraded_to_approx, rejected, batches, parallel_batches, updates, update_batches,
+        degraded_to_approx, rejected, batches, updates, update_batches,
         wal_commits, snapshots, compactions, subscriptions, notifications, deltas_coalesced,
         maintenance_failures;
-    gauges: largest_batch, largest_intra_grant, largest_update_batch;
+    gauges: largest_batch, largest_update_batch;
 }
 
 impl LiveStats {
