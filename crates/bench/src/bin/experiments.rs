@@ -1344,7 +1344,7 @@ fn monitor(scale: Scale) {
     }
 
     // Registry scaling: the subscription-scale path.  The same mixed
-    // registry (four CellTree policies, k cycling 1..=8) is maintained
+    // registry (four CellTree algorithms, k cycling 1..=8) is maintained
     // through the spatially indexed registry in dispatcher-sized batches and
     // through the pre-index full scan, at growing registry sizes.
     let sizes: Vec<usize> = match scale {

@@ -648,7 +648,7 @@ impl RegistryScalingPoint {
 }
 
 /// Measures standing-query maintenance at one registry size: `registered`
-/// mixed standing queries (the four CellTree policies round-robin, `k`
+/// mixed standing queries (the four CellTree algorithms round-robin, `k`
 /// cycling `1..=max_k`, focal records uniform over the bulk of the space —
 /// the deeply dominated majority a subscription population is made of) are
 /// registered into **two** registries over one shared engine:
@@ -1200,7 +1200,7 @@ mod tests {
     #[test]
     fn registry_index_and_batching_beat_full_scan_at_10k_subscriptions() {
         // The acceptance bar for the subscription-scale registry: at 10^4
-        // mixed standing queries (four CellTree policies, k in 1..=8), the
+        // mixed standing queries (four CellTree algorithms, k in 1..=8), the
         // spatially indexed registry maintained in dispatcher-sized batches
         // must keep every result fresh >= 10x faster per update than the
         // pre-index full scan.  The mechanism: the index resolves each

@@ -1,9 +1,8 @@
 //! The kSPR algorithm catalogue and its classic free-function entry points.
 //!
-//! All CellTree-based methods (CTA, P-CTA, LP-CTA, k-skyband) are thin
-//! wrappers over the unified [`crate::engine::QueryEngine`], where the single
-//! shared traversal loop and the per-algorithm [`crate::engine::ExpansionPolicy`]
-//! strategies live.  The sweep-based baselines (RTOPK, iMaxRank) keep their
+//! Every method runs through the unified [`crate::engine::QueryEngine`]:
+//! the CellTree-based ones (CTA, P-CTA, LP-CTA, k-skyband) share its single
+//! traversal loop, and the sweep-based baselines (RTOPK, iMaxRank) keep their
 //! self-contained drivers in [`crate::rtopk`] and [`crate::maxrank`].
 
 use crate::config::KsprConfig;
@@ -41,6 +40,12 @@ impl Algorithm {
             Algorithm::IMaxRank => "iMaxRank",
         }
     }
+
+    /// True for the methods that run the CellTree traversal loop of
+    /// [`QueryEngine`]; false for the sweep-based RTOPK and iMaxRank.
+    pub fn uses_celltree(&self) -> bool {
+        !matches!(self, Algorithm::Rtopk | Algorithm::IMaxRank)
+    }
 }
 
 /// Runs `algorithm` on `dataset` for focal record `focal` and threshold `k`.
@@ -72,28 +77,6 @@ pub fn run_batch(
     config: &KsprConfig,
 ) -> Vec<KsprResult> {
     QueryEngine::new(dataset, config.clone()).run_batch(algorithm, focals, k)
-}
-
-/// CTA — Algorithm 1 of the paper: insert every record's hyperplane into the
-/// CellTree (in dataset order) and report the surviving cells.
-pub fn run_cta(dataset: &Dataset, focal: &[f64], k: usize, config: &KsprConfig) -> KsprResult {
-    run(Algorithm::Cta, dataset, focal, k, config)
-}
-
-/// k-skyband baseline (Appendix B): run CTA restricted to the k-skyband of
-/// the competitor set — by Lemma 6 no other record can affect the result.
-pub fn run_skyband(dataset: &Dataset, focal: &[f64], k: usize, config: &KsprConfig) -> KsprResult {
-    run(Algorithm::KSkyband, dataset, focal, k, config)
-}
-
-/// P-CTA — Algorithm 2 of the paper.
-pub fn run_pcta(dataset: &Dataset, focal: &[f64], k: usize, config: &KsprConfig) -> KsprResult {
-    run(Algorithm::Pcta, dataset, focal, k, config)
-}
-
-/// LP-CTA — Algorithm 3 of the paper (P-CTA plus look-ahead rank bounds).
-pub fn run_lpcta(dataset: &Dataset, focal: &[f64], k: usize, config: &KsprConfig) -> KsprResult {
-    run(Algorithm::LpCta, dataset, focal, k, config)
 }
 
 #[cfg(test)]
@@ -145,7 +128,13 @@ mod tests {
         let raw = vec![vec![0.9, 0.9], vec![0.8, 0.8], vec![0.7, 0.7]];
         let dataset = Dataset::new(raw);
         let focal = vec![0.5, 0.5];
-        let result = run_lpcta(&dataset, &focal, 2, &KsprConfig::default());
+        let result = run(
+            Algorithm::LpCta,
+            &dataset,
+            &focal,
+            2,
+            &KsprConfig::default(),
+        );
         assert!(result.is_empty());
     }
 
@@ -154,7 +143,7 @@ mod tests {
         let raw = vec![vec![0.1, 0.2], vec![0.2, 0.1]];
         let dataset = Dataset::new(raw);
         let focal = vec![0.5, 0.5];
-        let result = run_pcta(&dataset, &focal, 1, &KsprConfig::default());
+        let result = run(Algorithm::Pcta, &dataset, &focal, 1, &KsprConfig::default());
         assert_eq!(result.num_regions(), 1);
         assert!((result.impact(0, 0) - 1.0).abs() < 1e-9);
     }
@@ -170,8 +159,8 @@ mod tests {
         let dataset = Dataset::new(raw);
         let focal = vec![0.6, 0.6, 0.6];
         let config = KsprConfig::default();
-        let cta = run_cta(&dataset, &focal, 5, &config);
-        let pcta = run_pcta(&dataset, &focal, 5, &config);
+        let cta = run(Algorithm::Cta, &dataset, &focal, 5, &config);
+        let pcta = run(Algorithm::Pcta, &dataset, &focal, 5, &config);
         assert!(pcta.stats.processed_records <= cta.stats.processed_records);
         assert!(pcta.stats.celltree_nodes <= cta.stats.celltree_nodes);
     }

@@ -206,7 +206,7 @@ pub fn samples_for_accuracy(epsilon: f64, confidence: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::run_lpcta;
+    use crate::algorithms::{run, Algorithm};
     use crate::config::KsprConfig;
     use crate::dataset::Dataset;
     use crate::naive;
@@ -227,7 +227,8 @@ mod tests {
         let raw = random_raw(300, 3, 3);
         let focal = vec![0.97, 0.85, 0.8];
         let k = 8;
-        let exact = run_lpcta(
+        let exact = run(
+            Algorithm::LpCta,
             &Dataset::new(raw.clone()),
             &focal,
             k,
@@ -260,7 +261,8 @@ mod tests {
         let raw = random_raw(200, 3, 9);
         let focal = vec![0.97, 0.85, 0.8];
         let k = 5;
-        let exact = run_lpcta(
+        let exact = run(
+            Algorithm::LpCta,
             &Dataset::new(raw.clone()),
             &focal,
             k,

@@ -32,29 +32,31 @@
 //! matters: it determines LP constraint order and hence the exact witness
 //! points the simplex solver returns).
 //!
-//! # Insertion = classify + apply
+//! # Insertion
 //!
-//! Inserting a hyperplane is split into two phases:
+//! Inserting a hyperplane is one depth-first walk from the root
+//! ([`CellTree::insert`]).  At every visited node it decides which case
+//! applies — closed children, rank, the dominance shortcut, the witness
+//! shortcuts, the two LP feasibility tests — and applies that case's edit on
+//! the spot: a cover push, an elimination, a split, or a descent into the
+//! left and then the right child followed by the bubble-up check.  The walk
+//! keeps the root path's edge constraints (and, with Lemma 2 off, the
+//! ancestors' cover constraints) on push/pop stacks, so every feasibility
+//! test reads its constraint list without re-walking the path.
 //!
-//! 1. **Classify** (read-only): walk the affected subtrees from an explicit
-//!    task stack and decide, for every visited node, which insertion case
-//!    applies — running the LP feasibility tests, the witness shortcuts and
-//!    the dominance shortcut.  Within a single insertion every node's
-//!    decision depends only on the *pre-insertion* tree (cover pushes happen
-//!    exactly where the walk terminates, never above a visited descendant),
-//!    so the walk never observes its own edits.
-//! 2. **Apply** (deterministic): replay the recorded decisions in the fixed
-//!    depth-first order of the classic recursive insertion.  Node allocation
-//!    order, live-leaf registration order, cover-set order, witness seeds
-//!    and elimination bubbling therefore follow the recursive algorithm
-//!    exactly, whatever order the classify stack visited the nodes in.
+//! A node's decision reads only the node, its subtree and its root path, and
+//! the edits of a left subtree never reach the right subtree or the path
+//! (cover pushes land where the walk stops; reclaimed slots are unreachable
+//! from the tree until a later split reuses them).  The fixed left-to-right
+//! order therefore fixes node allocation, live-leaf registration, cover
+//! order, witness seeds and elimination bubbling.
 
 use crate::hyperplanes::HyperplaneStore;
 use crate::stats::QueryStats;
 use kspr_geometry::{ConstraintSystem, Halfspace, PreferenceSpace, Sign};
 use kspr_lp::{interior_point_counted, LinearConstraint};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Sentinel for "no entry" in the cover arena's `u32` links.
 const COVER_NONE: u32 = u32::MAX;
@@ -121,6 +123,11 @@ impl CellNode {
     /// True iff the node is a leaf.
     pub fn is_leaf(&self) -> bool {
         self.children.is_none()
+    }
+
+    /// True once the node is out of play (eliminated or reported).
+    fn is_closed(&self) -> bool {
+        self.eliminated || self.reported
     }
 }
 
@@ -192,315 +199,21 @@ impl CoverArena {
     }
 }
 
-/// The per-node decision recorded by the classification phase, replayed by
-/// the apply phase.  One entry per visited node; nodes at which the walk did
-/// not stop record [`NodeStep::Recurse`] and their children carry their own
-/// entries.
-#[derive(Debug, Clone)]
-enum NodeStep {
-    /// Both children were already closed on entry: close this node too.
-    CloseEntry,
-    /// The node's rank already exceeds `k`: eliminate it.
-    EliminateRank,
-    /// A processed dominator confines the node (Lemma 4/5): push the new
-    /// plane's negative halfspace onto the cover set.
-    CoverDominator,
-    /// Case I: the node lies entirely inside h⁺.
-    CoverPositive {
-        /// The positive cover pushes the rank past `k`.
-        eliminate: bool,
-    },
-    /// Case II: the node lies entirely inside h⁻.  `witness` carries the
-    /// interior point found by the (feasible) case-1 test when the node had
-    /// none cached.
-    CoverNegative { witness: Option<Vec<f64>> },
-    /// Case III on a leaf: split it.
-    Split {
-        witness: Option<Vec<f64>>,
-        witness_neg: Option<Vec<f64>>,
-        witness_pos: Option<Vec<f64>>,
-        eliminate_pos: bool,
-    },
-    /// Case III on an internal node: descend into both children.
-    Recurse { witness: Option<Vec<f64>> },
-}
-
-/// A unit of classification work: one node plus the path context the
-/// feasibility tests need.  Forking at an internal node pushes the right
-/// child onto the task stack and continues into the left child.
-struct ClassifyTask {
-    idx: usize,
-    /// Positive halfspaces contributed by the ancestors of `idx`.
-    acc_pos: usize,
-    /// Strict constraints of the edge labels on the root path.
+/// The state one insertion threads through its walk: the incoming plane, the
+/// root-path constraints of the node being visited, and the statistics sink.
+struct Insertion<'a> {
+    store: &'a HyperplaneStore,
+    plane: usize,
+    dominator_planes: &'a HashSet<usize>,
+    /// Strict constraints of the edge labels on the root path (pushed on the
+    /// way down, popped on the way back up).
     path_strict: Vec<LinearConstraint>,
     /// Strict constraints of the ancestors' cover sets (only maintained when
     /// Lemma 2 is disabled).
     cover_strict: Vec<LinearConstraint>,
-}
-
-impl ClassifyTask {
-    fn root(idx: usize) -> Self {
-        Self {
-            idx,
-            acc_pos: 0,
-            path_strict: Vec::new(),
-            cover_strict: Vec::new(),
-        }
-    }
-}
-
-/// Classification output: recorded steps plus the statistics deltas the
-/// classified work generated.  Steps are keyed by node index, so the apply
-/// phase does not depend on the order they were recorded in.
-#[derive(Debug, Default)]
-struct ClassifyOut {
-    steps: Vec<(usize, NodeStep)>,
-    feasibility_tests: usize,
-    lp_constraints: usize,
-    witness_hits: usize,
-    /// Wall time spent inside the LP solver (timing metadata, see
-    /// [`crate::Timing`]).
-    lp_ns: u64,
-    /// Simplex pivots across the feasibility tests (deterministic work —
-    /// participates in consistency comparisons).
-    lp_pivots: usize,
-}
-
-/// Read-only view of everything the classification phase needs: the node
-/// and cover arenas of the pre-insertion tree plus the incoming plane.
-struct ClassifyCtx<'a> {
-    nodes: &'a [CellNode],
-    covers: &'a CoverArena,
-    boundary: &'a [LinearConstraint],
-    space: PreferenceSpace,
-    k: usize,
-    use_lemma2: bool,
-    use_witness: bool,
-    store: &'a HyperplaneStore,
-    plane: usize,
-    dominator_planes: &'a HashSet<usize>,
-}
-
-impl ClassifyCtx<'_> {
-    /// True iff the node's edge label or cover set contains a negative
-    /// halfspace contributed by a dominator of the incoming record.
-    fn dominator_confines(&self, idx: usize) -> bool {
-        if self.dominator_planes.is_empty() {
-            return false;
-        }
-        let node = &self.nodes[idx];
-        let is_dominator_negative =
-            |h: &Halfspace| h.sign == Sign::Negative && self.dominator_planes.contains(&h.plane);
-        if let Some(edge) = &node.edge {
-            if is_dominator_negative(edge) {
-                return true;
-            }
-        }
-        let mut cur = node.cover_head;
-        while cur != COVER_NONE {
-            let entry = &self.covers.entries[cur as usize];
-            if is_dominator_negative(&entry.half) {
-                return true;
-            }
-            cur = entry.next;
-        }
-        false
-    }
-
-    /// Runs the LP feasibility test "is `node ∩ (side of plane)` empty?" and
-    /// returns a strictly interior witness if it is not.  `lp_buf` is the
-    /// tree's reused constraint-assembly scratch.
-    ///
-    /// Constraints: the space boundary, the edge labels on the node's root
-    /// path (always), the cover sets on the path (only when Lemma 2 is
-    /// disabled), and the tested halfspace.
-    fn feasibility(
-        &self,
-        sign: Sign,
-        task: &ClassifyTask,
-        lp_buf: &mut Vec<LinearConstraint>,
-        out: &mut ClassifyOut,
-    ) -> Option<Vec<f64>> {
-        lp_buf.clear();
-        lp_buf.extend_from_slice(self.boundary);
-        lp_buf.extend_from_slice(&task.path_strict);
-        if !self.use_lemma2 {
-            lp_buf.extend_from_slice(&task.cover_strict);
-        }
-        lp_buf.push(self.store.plane(self.plane).constraint(sign, true));
-        out.feasibility_tests += 1;
-        out.lp_constraints += task.path_strict.len()
-            + if self.use_lemma2 {
-                0
-            } else {
-                task.cover_strict.len()
-            }
-            + 1;
-        let started = std::time::Instant::now();
-        let (solution, pivots) = interior_point_counted(lp_buf, self.space.work_dim());
-        out.lp_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        out.lp_pivots += pivots;
-        solution.map(|s| s.point)
-    }
-}
-
-/// Classifies one task: descends the left spine of the affected subtree,
-/// pushing right children onto `stack`.  Decisions are read-only with
-/// respect to the tree; see the module docs for why that makes the visiting
-/// order irrelevant to the outcome.
-fn classify_task(
-    ctx: &ClassifyCtx<'_>,
-    mut task: ClassifyTask,
-    out: &mut ClassifyOut,
-    lp_buf: &mut Vec<LinearConstraint>,
-    stack: &mut Vec<ClassifyTask>,
-) {
-    loop {
-        let idx = task.idx;
-        let node = &ctx.nodes[idx];
-        if node.eliminated || node.reported {
-            return;
-        }
-        // If both children are already closed, close this node as well
-        // (Algorithm 1, line 12).
-        if let Some((l, r)) = node.children {
-            let closed = |n: &CellNode| n.eliminated || n.reported;
-            if closed(&ctx.nodes[l]) && closed(&ctx.nodes[r]) {
-                out.steps.push((idx, NodeStep::CloseEntry));
-                return;
-            }
-        }
-
-        let rank_here = task.acc_pos + node.own_positives() + 1;
-        if rank_here > ctx.k {
-            out.steps.push((idx, NodeStep::EliminateRank));
-            return;
-        }
-
-        // Dominance shortcut (P-CTA): a processed dominator already confines
-        // this node to its negative halfspace, so the new record's negative
-        // halfspace covers the node as well.
-        if ctx.dominator_confines(idx) {
-            out.steps.push((idx, NodeStep::CoverDominator));
-            return;
-        }
-
-        // Witness-based shortcuts (Section 4.3.2).
-        let mut case1_possible = true; // N ∩ h⁻ = ∅ (node inside h⁺)
-        let mut case2_possible = true; // N ∩ h⁺ = ∅ (node inside h⁻)
-        if ctx.use_witness {
-            if let Some(w) = &node.witness {
-                match ctx.store.side(ctx.plane, w) {
-                    Some(Sign::Negative) => {
-                        case1_possible = false;
-                        out.witness_hits += 1;
-                    }
-                    Some(Sign::Positive) => {
-                        case2_possible = false;
-                        out.witness_hits += 1;
-                    }
-                    None => {}
-                }
-            }
-        }
-
-        // Witness points discovered by the feasibility tests below; the
-        // first one seeds the node's own cache (when empty), the side-
-        // specific ones seed the children if the node ends up split.
-        let had_witness = node.witness.is_some();
-        let mut witness_self: Option<Vec<f64>> = None;
-        let mut witness_negative: Option<Vec<f64>> = None;
-        let mut witness_positive: Option<Vec<f64>> = None;
-
-        if case1_possible {
-            match ctx.feasibility(Sign::Negative, &task, lp_buf, out) {
-                None => {
-                    // Case I: the node lies entirely inside h⁺.
-                    out.steps.push((
-                        idx,
-                        NodeStep::CoverPositive {
-                            eliminate: rank_here + 1 > ctx.k,
-                        },
-                    ));
-                    return;
-                }
-                Some(w) => {
-                    if !had_witness {
-                        witness_self = Some(w.clone());
-                    }
-                    witness_negative = Some(w);
-                }
-            }
-        }
-        if case2_possible {
-            match ctx.feasibility(Sign::Positive, &task, lp_buf, out) {
-                None => {
-                    // Case II: the node lies entirely inside h⁻.
-                    out.steps.push((
-                        idx,
-                        NodeStep::CoverNegative {
-                            witness: witness_self,
-                        },
-                    ));
-                    return;
-                }
-                Some(w) => {
-                    if !had_witness && witness_self.is_none() {
-                        witness_self = Some(w.clone());
-                    }
-                    witness_positive = Some(w);
-                }
-            }
-        }
-
-        // Case III: the hyperplane cuts through the node.
-        if node.is_leaf() {
-            out.steps.push((
-                idx,
-                NodeStep::Split {
-                    witness: witness_self,
-                    witness_neg: witness_negative,
-                    witness_pos: witness_positive,
-                    eliminate_pos: rank_here + 1 > ctx.k,
-                },
-            ));
-            return;
-        }
-
-        out.steps.push((
-            idx,
-            NodeStep::Recurse {
-                witness: witness_self,
-            },
-        ));
-        let (l, r) = node.children.expect("internal node has children");
-        let acc_here = task.acc_pos + node.own_positives();
-        if !ctx.use_lemma2 {
-            let mut cur = node.cover_head;
-            while cur != COVER_NONE {
-                let entry = &ctx.covers.entries[cur as usize];
-                task.cover_strict
-                    .push(ctx.store.constraint(entry.half, true));
-                cur = entry.next;
-            }
-        }
-        // Fork the right child as an independent task ...
-        let r_edge = ctx.nodes[r].edge.expect("non-root node has an edge");
-        let mut r_path = task.path_strict.clone();
-        r_path.push(ctx.store.constraint(r_edge, true));
-        stack.push(ClassifyTask {
-            idx: r,
-            acc_pos: acc_here,
-            path_strict: r_path,
-            cover_strict: task.cover_strict.clone(),
-        });
-        // ... and continue into the left child in place.
-        let l_edge = ctx.nodes[l].edge.expect("non-root node has an edge");
-        task.path_strict.push(ctx.store.constraint(l_edge, true));
-        task.idx = l;
-        task.acc_pos = acc_here;
-    }
+    /// The tree's reused LP-assembly scratch.
+    lp_buf: Vec<LinearConstraint>,
+    stats: &'a mut QueryStats,
 }
 
 /// The incremental arrangement index of Section 4.
@@ -529,11 +242,9 @@ pub struct CellTree {
     /// dropped on the next `promising_leaves` call.  This keeps the
     /// per-round cost proportional to the number of *candidate* leaves
     /// instead of the O(total nodes) arena scan it replaces.  Interior
-    /// mutability (`RefCell`) lets the read path self-compact; the index is
-    /// never touched by the classification phase.
+    /// mutability (`RefCell`) lets the read path self-compact; insertion
+    /// only appends, when it splits a leaf.
     live_leaves: RefCell<Vec<(usize, u32)>>,
-    /// Reused decision-map scratch for the apply phase.
-    steps: HashMap<usize, NodeStep>,
     /// Reused LP-assembly scratch for insertion.
     lp_scratch: Vec<LinearConstraint>,
 }
@@ -555,7 +266,6 @@ impl CellTree {
             use_lemma2,
             use_witness,
             live_leaves: RefCell::new(vec![(0, 0)]),
-            steps: HashMap::new(),
             lp_scratch: Vec::new(),
         }
     }
@@ -716,8 +426,7 @@ impl CellTree {
                 Some(c) => c,
                 None => break,
             };
-            let closed = |n: &CellNode| n.eliminated || n.reported;
-            if closed(&self.nodes[l]) && closed(&self.nodes[r]) && !self.nodes[p].eliminated {
+            if self.nodes[l].is_closed() && self.nodes[r].is_closed() && !self.nodes[p].eliminated {
                 self.close_node(p);
                 cur = self.nodes[p].parent;
             } else {
@@ -847,27 +556,6 @@ impl CellTree {
         (sys, grew)
     }
 
-    /// The read-only classification view over the current tree.
-    fn classify_ctx<'a>(
-        &'a self,
-        store: &'a HyperplaneStore,
-        plane: usize,
-        dominator_planes: &'a HashSet<usize>,
-    ) -> ClassifyCtx<'a> {
-        ClassifyCtx {
-            nodes: &self.nodes,
-            covers: &self.covers,
-            boundary: &self.boundary,
-            space: self.space,
-            k: self.k,
-            use_lemma2: self.use_lemma2,
-            use_witness: self.use_witness,
-            store,
-            plane,
-            dominator_planes,
-        }
-    }
-
     /// Inserts hyperplane `plane` (an index into `store`) into the tree.
     ///
     /// `dominator_planes` contains the indices of already-inserted hyperplanes
@@ -883,103 +571,204 @@ impl CellTree {
         dominator_planes: &HashSet<usize>,
         stats: &mut QueryStats,
     ) {
-        let mut lp_buf = std::mem::take(&mut self.lp_scratch);
-        let mut out = ClassifyOut::default();
-        {
-            let ctx = self.classify_ctx(store, plane, dominator_planes);
-            let mut stack = vec![ClassifyTask::root(self.root)];
-            while let Some(task) = stack.pop() {
-                classify_task(&ctx, task, &mut out, &mut lp_buf, &mut stack);
+        let mut ins = Insertion {
+            store,
+            plane,
+            dominator_planes,
+            path_strict: Vec::new(),
+            cover_strict: Vec::new(),
+            lp_buf: std::mem::take(&mut self.lp_scratch),
+            stats,
+        };
+        self.insert_at(self.root, 0, &mut ins);
+        self.lp_scratch = ins.lp_buf;
+        ins.stats.celltree_nodes = self.created;
+    }
+
+    /// Inserts the plane into the subtree of `idx` (Algorithm 1): decides
+    /// which case applies at the node and applies it on the spot, descending
+    /// into both children when the plane cuts an internal node.  `acc_pos`
+    /// counts the positive halfspaces contributed by the ancestors of `idx`;
+    /// `ins` holds the constraints of its root path.
+    fn insert_at(&mut self, idx: usize, acc_pos: usize, ins: &mut Insertion<'_>) {
+        let node = &self.nodes[idx];
+        if node.is_closed() {
+            return;
+        }
+        let children = node.children;
+        let acc_here = acc_pos + node.own_positives();
+        // If both children are already closed, close this node as well
+        // (Algorithm 1, line 12).
+        if let Some((l, r)) = children {
+            if self.nodes[l].is_closed() && self.nodes[r].is_closed() {
+                self.close_node(idx);
+                return;
             }
         }
-        self.lp_scratch = lp_buf;
-        self.finish_insert(plane, out, stats);
-    }
 
-    /// Merges classification statistics and replays the recorded decisions
-    /// in the canonical depth-first order (the apply phase).
-    fn finish_insert(&mut self, plane: usize, mut out: ClassifyOut, stats: &mut QueryStats) {
-        stats.feasibility_tests += out.feasibility_tests;
-        stats.lp_constraints += out.lp_constraints;
-        stats.witness_hits += out.witness_hits;
-        stats.phases.lp_ns += out.lp_ns;
-        stats.lp_pivots += out.lp_pivots;
-        let mut steps = std::mem::take(&mut self.steps);
-        steps.clear();
-        steps.extend(out.steps.drain(..));
-        self.apply_step(self.root, plane, &mut steps);
-        debug_assert!(steps.is_empty(), "every recorded decision was applied");
-        self.steps = steps;
-        stats.celltree_nodes = self.created;
-    }
+        let rank_here = acc_here + 1;
+        if rank_here > self.k {
+            self.close_node(idx);
+            return;
+        }
 
-    /// Applies the recorded decision at `idx` (recursing through
-    /// [`NodeStep::Recurse`] nodes).  Steps are *removed* as they are
-    /// applied, which guarantees a slot recycled later in the same apply
-    /// pass can never alias a stale decision.
-    fn apply_step(&mut self, idx: usize, plane: usize, steps: &mut HashMap<usize, NodeStep>) {
-        let Some(step) = steps.remove(&idx) else {
-            // The classification walk returned at this node without
-            // recording anything (eliminated / reported on entry).
+        // Dominance shortcut (P-CTA): a processed dominator already confines
+        // this node to its negative halfspace, so the new record's negative
+        // halfspace covers the node as well.
+        if self.dominator_confines(idx, ins.dominator_planes) {
+            self.push_cover(idx, Halfspace::negative(ins.plane));
+            return;
+        }
+
+        // Witness-based shortcut (Section 4.3.2): a cached interior point on
+        // one side of the plane rules out the node lying entirely on the
+        // other side.
+        let witness = &self.nodes[idx].witness;
+        let had_witness = witness.is_some();
+        let witness_side = match witness {
+            Some(w) if self.use_witness => ins.store.side(ins.plane, w),
+            _ => None,
+        };
+        if witness_side.is_some() {
+            ins.stats.witness_hits += 1;
+        }
+
+        // Witness points discovered by the feasibility tests below; the
+        // first one seeds the node's own cache (when empty), the side-
+        // specific ones seed the children if the node ends up split.
+        let mut witness_self: Option<Vec<f64>> = None;
+        let mut witness_negative: Option<Vec<f64>> = None;
+        let mut witness_positive: Option<Vec<f64>> = None;
+
+        // Case I test: is N ∩ h⁻ empty (the node lies inside h⁺)?
+        if witness_side != Some(Sign::Negative) {
+            match self.feasibility(Sign::Negative, ins) {
+                None => {
+                    self.push_cover(idx, Halfspace::positive(ins.plane));
+                    if rank_here + 1 > self.k {
+                        self.close_node(idx);
+                    }
+                    return;
+                }
+                Some(w) => {
+                    if !had_witness {
+                        witness_self = Some(w.clone());
+                    }
+                    witness_negative = Some(w);
+                }
+            }
+        }
+        // Case II test: is N ∩ h⁺ empty (the node lies inside h⁻)?
+        if witness_side != Some(Sign::Positive) {
+            match self.feasibility(Sign::Positive, ins) {
+                None => {
+                    if let Some(w) = witness_self {
+                        self.nodes[idx].witness = Some(w);
+                    }
+                    self.push_cover(idx, Halfspace::negative(ins.plane));
+                    return;
+                }
+                Some(w) => {
+                    if !had_witness && witness_self.is_none() {
+                        witness_self = Some(w.clone());
+                    }
+                    witness_positive = Some(w);
+                }
+            }
+        }
+
+        // Case III: the hyperplane cuts through the node.
+        if let Some(w) = witness_self {
+            self.nodes[idx].witness = Some(w);
+        }
+        let Some((l, r)) = children else {
+            // A leaf is split into its two sides.
+            let neg_child = self.alloc_node(idx, Halfspace::negative(ins.plane), witness_negative);
+            let pos_child = self.alloc_node(idx, Halfspace::positive(ins.plane), witness_positive);
+            self.nodes[idx].children = Some((neg_child, pos_child));
+            // Register the new leaves with the live-leaf index (the split
+            // parent is lazily dropped on the next `promising_leaves` call).
+            let neg_generation = self.nodes[neg_child].generation;
+            let pos_generation = self.nodes[pos_child].generation;
+            self.live_leaves
+                .borrow_mut()
+                .extend([(neg_child, neg_generation), (pos_child, pos_generation)]);
+            // The positive child's rank is one higher; prune it immediately
+            // if it already exceeds k.
+            if rank_here + 1 > self.k {
+                self.nodes[pos_child].eliminated = true;
+            }
             return;
         };
-        match step {
-            NodeStep::CloseEntry | NodeStep::EliminateRank => self.close_node(idx),
-            NodeStep::CoverDominator => self.push_cover(idx, Halfspace::negative(plane)),
-            NodeStep::CoverPositive { eliminate } => {
-                self.push_cover(idx, Halfspace::positive(plane));
-                if eliminate {
-                    self.close_node(idx);
-                }
-            }
-            NodeStep::CoverNegative { witness } => {
-                if let Some(w) = witness {
-                    self.nodes[idx].witness = Some(w);
-                }
-                self.push_cover(idx, Halfspace::negative(plane));
-            }
-            NodeStep::Split {
-                witness,
-                witness_neg,
-                witness_pos,
-                eliminate_pos,
-            } => {
-                if let Some(w) = witness {
-                    self.nodes[idx].witness = Some(w);
-                }
-                let neg_child = self.alloc_node(idx, Halfspace::negative(plane), witness_neg);
-                let pos_child = self.alloc_node(idx, Halfspace::positive(plane), witness_pos);
-                self.nodes[idx].children = Some((neg_child, pos_child));
-                // Register the new leaves with the live-leaf index (the split
-                // parent is lazily dropped on the next `promising_leaves`
-                // call).
-                let neg_generation = self.nodes[neg_child].generation;
-                let pos_generation = self.nodes[pos_child].generation;
-                self.live_leaves
-                    .borrow_mut()
-                    .extend([(neg_child, neg_generation), (pos_child, pos_generation)]);
-                // The positive child's rank is one higher; prune it
-                // immediately if it already exceeds k.
-                if eliminate_pos {
-                    self.nodes[pos_child].eliminated = true;
-                }
-            }
-            NodeStep::Recurse { witness } => {
-                if let Some(w) = witness {
-                    self.nodes[idx].witness = Some(w);
-                }
-                let (l, r) = self.nodes[idx]
-                    .children
-                    .expect("recurse step targets an internal node");
-                self.apply_step(l, plane, steps);
-                self.apply_step(r, plane, steps);
-                // Bubble elimination up if both children got closed.
-                let closed = |n: &CellNode| n.eliminated || n.reported;
-                if closed(&self.nodes[l]) && closed(&self.nodes[r]) {
-                    self.close_node(idx);
-                }
+
+        // An internal node passes the plane down to both children, left
+        // first, then closes itself if both children ended up closed.
+        let covers_before = ins.cover_strict.len();
+        if !self.use_lemma2 {
+            let mut cur = self.nodes[idx].cover_head;
+            while cur != COVER_NONE {
+                let entry = &self.covers.entries[cur as usize];
+                ins.cover_strict
+                    .push(ins.store.constraint(entry.half, true));
+                cur = entry.next;
             }
         }
+        for child in [l, r] {
+            let edge = self.nodes[child].edge.expect("non-root node has an edge");
+            ins.path_strict.push(ins.store.constraint(edge, true));
+            self.insert_at(child, acc_here, ins);
+            ins.path_strict.pop();
+        }
+        ins.cover_strict.truncate(covers_before);
+        if self.nodes[l].is_closed() && self.nodes[r].is_closed() {
+            self.close_node(idx);
+        }
+    }
+
+    /// True iff the node's edge label or cover set contains a negative
+    /// halfspace contributed by a dominator of the incoming record.
+    fn dominator_confines(&self, idx: usize, dominator_planes: &HashSet<usize>) -> bool {
+        if dominator_planes.is_empty() {
+            return false;
+        }
+        let node = &self.nodes[idx];
+        let is_dominator_negative =
+            |h: &Halfspace| h.sign == Sign::Negative && dominator_planes.contains(&h.plane);
+        if node.edge.as_ref().is_some_and(is_dominator_negative) {
+            return true;
+        }
+        let mut cur = node.cover_head;
+        while cur != COVER_NONE {
+            let entry = &self.covers.entries[cur as usize];
+            if is_dominator_negative(&entry.half) {
+                return true;
+            }
+            cur = entry.next;
+        }
+        false
+    }
+
+    /// Runs the LP feasibility test "is `node ∩ (side of plane)` empty?" for
+    /// the node whose root path `ins` holds, and returns a strictly interior
+    /// witness if it is not.
+    ///
+    /// Constraints: the space boundary, the edge labels on the node's root
+    /// path (always), the ancestors' cover sets (only when Lemma 2 is
+    /// disabled; `cover_strict` is empty otherwise), and the tested halfspace.
+    fn feasibility(&self, sign: Sign, ins: &mut Insertion<'_>) -> Option<Vec<f64>> {
+        let lp_buf = &mut ins.lp_buf;
+        lp_buf.clear();
+        lp_buf.extend_from_slice(&self.boundary);
+        lp_buf.extend_from_slice(&ins.path_strict);
+        lp_buf.extend_from_slice(&ins.cover_strict);
+        lp_buf.push(ins.store.plane(ins.plane).constraint(sign, true));
+        ins.stats.feasibility_tests += 1;
+        ins.stats.lp_constraints += lp_buf.len() - self.boundary.len();
+        let started = std::time::Instant::now();
+        let (solution, pivots) = interior_point_counted(lp_buf, self.space.work_dim());
+        ins.stats.phases.lp_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        ins.stats.lp_pivots += pivots;
+        solution.map(|s| s.point)
     }
 }
 #[cfg(test)]

@@ -5,22 +5,20 @@
 //! traversal loop:
 //!
 //! 1. preprocess the dataset against the focal record (Section 3.1) — and,
-//!    for bound-using policies, restrict the competitors to their
-//!    `k_effective`-skyband so the look-ahead bounds read an update-stable
-//!    aggregate tree (see `restrict_to_witness_skyband`),
+//!    for LP-CTA, restrict the competitors to their `k_effective`-skyband so
+//!    the look-ahead bounds read an update-stable aggregate tree (see
+//!    `restrict_to_witness_skyband`),
 //! 2. insert batches of record hyperplanes into the [`CellTree`],
 //! 3. optionally prune / report cells early with look-ahead rank bounds,
 //! 4. optionally report cells with the pivot test of Lemma 5 and derive the
 //!    next batch from a constrained skyline,
 //! 5. collect the surviving promising cells into the result.
 //!
-//! What distinguishes the methods is only *which records are expanded, in
-//! what order, and which of the optional stages run* — exactly the knobs the
-//! [`ExpansionPolicy`] trait exposes.  [`QueryEngine`] owns the shared loop;
-//! the policies ([`CtaPolicy`], [`SkybandPolicy`], [`ProgressivePolicy`]) are
-//! small, stateless strategy objects.  Earlier revisions of this crate kept
-//! three copies of the traversal in `algorithms.rs`; they now all route
-//! through this module.
+//! The methods differ only in the first batch (every competitor for CTA, the
+//! competitors' k-skyband for the baseline, their skyline for P-CTA and
+//! LP-CTA) and in which optional stages run (the dominance shortcut and the
+//! pivot stage for P-CTA and LP-CTA, the bound stage for LP-CTA).
+//! `QueryEngine::run_celltree` reads all three off the [`Algorithm`].
 //!
 //! # Batched execution
 //!
@@ -33,7 +31,7 @@
 //!   removes no record reuse it outright instead of bulk-loading a
 //!   query-local copy (see [`crate::prep::prepare`]).
 //! * **Skyband filter** — the dataset-level k-skyband is computed once; the
-//!   per-query band of [`SkybandPolicy`] is provably contained in it, so the
+//!   per-query band (`witness_skyband`) is provably contained in it, so the
 //!   per-query computation only scans the precomputed candidates.
 //! * **Dominance graph** — the dominator lists of all skyband members are
 //!   computed once; per-query traversals translate them through the
@@ -81,168 +79,6 @@ use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-// ---------------------------------------------------------------------------
-// Expansion policies
-// ---------------------------------------------------------------------------
-
-/// A prepared (focal-filtered) query, handed to policies when they decide
-/// which records to expand.
-pub struct PreparedQuery<'a> {
-    /// The filtered competitor set (Section 3.1 preprocessing output).
-    pub filtered: &'a FilteredQuery,
-    /// Batch-shared preprocessing, when running under
-    /// [`QueryEngine::run_batch`].
-    pub shared: Option<&'a SharedPrep>,
-    /// The original (pre-preprocessing) rank threshold `k`.
-    pub k: usize,
-}
-
-/// The strategy axis along which CTA, P-CTA, LP-CTA and the k-skyband
-/// baseline differ: which records are expanded into the CellTree, in what
-/// order, and which optional pruning stages run between batches.
-///
-/// Implementations must be stateless (`&self` methods only) so a single
-/// policy value can serve many concurrent queries in batch mode.
-pub trait ExpansionPolicy: Sync {
-    /// The algorithm this policy implements.
-    fn algorithm(&self) -> Algorithm;
-
-    /// The first batch of (filtered) record ids to expand.
-    fn initial_batch(&self, query: &PreparedQuery<'_>) -> Vec<RecordId>;
-
-    /// Use the dominance-graph insertion shortcut of Lemma 4/5?
-    fn use_dominance(&self) -> bool {
-        false
-    }
-
-    /// Run the look-ahead rank-bound stage (Section 6) after each batch?
-    fn use_rank_bounds(&self) -> bool {
-        false
-    }
-
-    /// Run the pivot-based reporting of Lemma 5 between batches and keep
-    /// expanding constrained skylines until every cell is decided?
-    fn progressive(&self) -> bool {
-        false
-    }
-
-    /// Can this policy exploit batch-shared preprocessing?  When it cannot
-    /// (e.g. plain CTA expands everything in dataset order and never consults
-    /// the skyband or the dominance graph), [`QueryEngine::run_batch`] skips
-    /// computing [`SharedPrep`] altogether.
-    fn uses_shared_prep(&self) -> bool {
-        self.use_dominance()
-    }
-}
-
-/// CTA (Algorithm 1): expand every competitor in dataset order, one batch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CtaPolicy;
-
-impl ExpansionPolicy for CtaPolicy {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Cta
-    }
-
-    fn initial_batch(&self, query: &PreparedQuery<'_>) -> Vec<RecordId> {
-        (0..query.filtered.records.len()).collect()
-    }
-}
-
-/// The k-skyband baseline (Appendix B): CTA restricted to the k-skyband of
-/// the competitor set — by Lemma 6 no other record can affect the result.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SkybandPolicy;
-
-impl ExpansionPolicy for SkybandPolicy {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::KSkyband
-    }
-
-    fn uses_shared_prep(&self) -> bool {
-        true
-    }
-
-    fn initial_batch(&self, query: &PreparedQuery<'_>) -> Vec<RecordId> {
-        let filtered = query.filtered;
-        match query.shared {
-            // Batch mode: only scan candidates inside the precomputed
-            // dataset-level band.  Membership argument: a filtered record
-            // with fewer than `k_effective` dominators among the filtered
-            // competitors has fewer than `k_effective + dominators(focal) =
-            // k` dominators in the full dataset (records the focal record
-            // dominates cannot dominate it, and ties are excluded), hence it
-            // belongs to the dataset-level k-skyband.
-            Some(shared) if shared.k() == query.k => {
-                k_skyband_restricted(&filtered.records, filtered.k_effective, |id| {
-                    shared.in_skyband(filtered.original_ids[id])
-                })
-            }
-            _ => k_skyband(&filtered.records, filtered.k_effective),
-        }
-    }
-}
-
-/// P-CTA (Algorithm 2) and LP-CTA (Algorithm 3): expand skyline batches,
-/// report cells through pivots, and — for LP-CTA — prune/report cells with
-/// look-ahead rank bounds first.
-#[derive(Debug, Clone, Copy)]
-pub struct ProgressivePolicy {
-    look_ahead: bool,
-}
-
-impl ProgressivePolicy {
-    /// The P-CTA configuration (no look-ahead bounds).
-    pub fn pcta() -> Self {
-        Self { look_ahead: false }
-    }
-
-    /// The LP-CTA configuration (with look-ahead bounds).
-    pub fn lpcta() -> Self {
-        Self { look_ahead: true }
-    }
-}
-
-impl ExpansionPolicy for ProgressivePolicy {
-    fn algorithm(&self) -> Algorithm {
-        if self.look_ahead {
-            Algorithm::LpCta
-        } else {
-            Algorithm::Pcta
-        }
-    }
-
-    fn initial_batch(&self, query: &PreparedQuery<'_>) -> Vec<RecordId> {
-        // Invariant 1: the first batch is the skyline of the competitor set.
-        bbs_skyline(&query.filtered.tree)
-    }
-
-    fn use_dominance(&self) -> bool {
-        true
-    }
-
-    fn use_rank_bounds(&self) -> bool {
-        self.look_ahead
-    }
-
-    fn progressive(&self) -> bool {
-        true
-    }
-}
-
-/// The policy implementing `algorithm`, for the CellTree-based methods
-/// (`None` for the sweep-based baselines RTOPK and iMaxRank, which do not
-/// use the CellTree traversal loop).
-pub fn policy_for(algorithm: Algorithm) -> Option<Box<dyn ExpansionPolicy>> {
-    match algorithm {
-        Algorithm::Cta => Some(Box::new(CtaPolicy)),
-        Algorithm::Pcta => Some(Box::new(ProgressivePolicy::pcta())),
-        Algorithm::LpCta => Some(Box::new(ProgressivePolicy::lpcta())),
-        Algorithm::KSkyband => Some(Box::new(SkybandPolicy)),
-        Algorithm::Rtopk | Algorithm::IMaxRank => None,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Batch-shared preprocessing
@@ -725,9 +561,10 @@ impl QueryEngine {
         focals: &[Vec<f64>],
         k: usize,
     ) -> Vec<KsprResult> {
-        let shared = policy_for(algorithm)
-            .filter(|policy| policy.uses_shared_prep())
-            .map(|_| self.shared_prep(k));
+        // Plain CTA expands every competitor in dataset order and never
+        // consults the skyband or the dominance graph.
+        let shared =
+            (algorithm.uses_celltree() && algorithm != Algorithm::Cta).then(|| self.shared_prep(k));
         focals
             .par_iter()
             .map(|focal| self.run_shared(algorithm, focal, k, shared.as_deref()))
@@ -742,27 +579,28 @@ impl QueryEngine {
         shared: Option<&SharedPrep>,
     ) -> KsprResult {
         let clock = std::time::Instant::now();
-        let mut result = match policy_for(algorithm) {
-            Some(policy) => self.run_policy(policy.as_ref(), focal, k, shared),
+        let mut result = match algorithm {
             // The sweep-based baselines have self-contained drivers.
-            None => match algorithm {
-                Algorithm::Rtopk => run_rtopk(self.store.dataset(), focal, k),
-                Algorithm::IMaxRank => run_imaxrank(self.store.dataset(), focal, k),
-                _ => unreachable!("policy_for covers all CellTree algorithms"),
-            },
+            Algorithm::Rtopk => run_rtopk(self.store.dataset(), focal, k),
+            Algorithm::IMaxRank => run_imaxrank(self.store.dataset(), focal, k),
+            _ => self.run_celltree(algorithm, focal, k, shared),
         };
         result.stats.phases.wall_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
         result
     }
 
-    /// The shared CellTree traversal loop (steps 2–5 of the module docs).
-    fn run_policy(
+    /// The shared CellTree traversal loop (steps 1–5 of the module docs).
+    fn run_celltree(
         &self,
-        policy: &dyn ExpansionPolicy,
+        algorithm: Algorithm,
         focal: &[f64],
         k: usize,
         shared: Option<&SharedPrep>,
     ) -> KsprResult {
+        // P-CTA and LP-CTA run the dominance shortcut and the pivot stage;
+        // LP-CTA adds the look-ahead bound stage.
+        let progressive = matches!(algorithm, Algorithm::Pcta | Algorithm::LpCta);
+        let rank_bounds = algorithm == Algorithm::LpCta;
         let mut stats = QueryStats::new();
         let space = PreferenceSpace::new(focal.len(), self.config.space);
         let prep_clock = std::time::Instant::now();
@@ -784,7 +622,7 @@ impl QueryEngine {
             Prepared::Filtered(f) => f,
         };
         // Look-ahead bounds read the competitor R-tree's aggregates, so for
-        // bound-using policies the competitor set is first restricted to its
+        // LP-CTA the competitor set is first restricted to its
         // k_effective-skyband (sound by the same Lemma 6 argument as the
         // skyband baseline: a record with `k_effective` dominators among the
         // competitors never outscores the focal record inside a result cell,
@@ -797,34 +635,37 @@ impl QueryEngine {
         // transitively dominate everything it dominates).  The standing-query
         // monitor's cell-wise LP-CTA patching rests on exactly this
         // invariance.
-        let filtered = if policy.use_rank_bounds() {
+        let filtered = if rank_bounds {
             restrict_to_witness_skyband(filtered, shared, k)
         } else {
             filtered
         };
         stats.phases.prep_ns += elapsed_ns(&prep_clock);
 
-        let query = PreparedQuery {
-            filtered: &filtered,
-            shared,
-            k,
-        };
         let expansion_clock = std::time::Instant::now();
+        let mut batch = match algorithm {
+            // CTA (Algorithm 1): every competitor, in dataset order.
+            Algorithm::Cta => (0..filtered.records.len()).collect(),
+            // The k-skyband baseline (Appendix B): by Lemma 6 no record
+            // outside the competitors' k-skyband can affect the result.
+            Algorithm::KSkyband => witness_skyband(&filtered, shared, k),
+            // Invariant 1: P-CTA's first batch is the competitors' skyline.
+            _ => bbs_skyline(&filtered.tree),
+        };
         let mut traversal = Traversal::new(&filtered, focal, &self.config, stats, shared);
-        let mut batch = policy.initial_batch(&query);
 
         'expansion: loop {
             // Step 2: expand the batch into the CellTree.
             traversal.stats.batches += 1;
             for &id in &batch {
-                traversal.process_record(id, policy.use_dominance());
+                traversal.process_record(id, progressive);
                 if traversal.tree.is_exhausted() {
                     break 'expansion;
                 }
             }
 
             // Step 3: look-ahead rank bounds (LP-CTA).
-            if policy.use_rank_bounds() {
+            if rank_bounds {
                 traversal.apply_rank_bounds();
                 if traversal.tree.is_exhausted() {
                     break;
@@ -832,7 +673,7 @@ impl QueryEngine {
             }
 
             // Step 4: pivot-based reporting and the next skyline batch.
-            if !policy.progressive() {
+            if !progressive {
                 break;
             }
             match traversal.pivot_stage() {
@@ -851,28 +692,42 @@ impl QueryEngine {
     }
 }
 
-/// Restricts a filtered competitor set to its `k_effective`-skyband, the
-/// stable core that bound-using policies (LP-CTA) traverse and bound against.
+/// The `k_effective`-skyband of a filtered competitor set (filtered ids, in
+/// decreasing coordinate-sum order).
 ///
-/// When batch-shared preprocessing for the same `k` is available the scan is
-/// restricted to the precomputed dataset-level band (the membership argument
-/// of [`SkybandPolicy::initial_batch`]); the output is identical either way,
-/// so single runs and batch members produce bit-identical results.  When
-/// nothing is pruned the prepared query (and its possibly-shared tree) is
-/// passed through untouched.
-fn restrict_to_witness_skyband(
-    filtered: FilteredQuery,
+/// When batch-shared preprocessing for the same `k` is available, only
+/// candidates inside the precomputed dataset-level band are scanned.
+/// Membership argument: a filtered record with fewer than `k_effective`
+/// dominators among the filtered competitors has fewer than `k_effective +
+/// dominators(focal) = k` dominators in the full dataset (records the focal
+/// record dominates cannot dominate it, and ties are excluded), hence it
+/// belongs to the dataset-level k-skyband.  The output is identical either
+/// way, so single runs and batch members produce bit-identical results.
+fn witness_skyband(
+    filtered: &FilteredQuery,
     shared: Option<&SharedPrep>,
     k: usize,
-) -> FilteredQuery {
-    let mut keep = match shared {
+) -> Vec<RecordId> {
+    match shared {
         Some(s) if s.k() == k => {
             k_skyband_restricted(&filtered.records, filtered.k_effective, |id| {
                 s.in_skyband(filtered.original_ids[id])
             })
         }
         _ => k_skyband(&filtered.records, filtered.k_effective),
-    };
+    }
+}
+
+/// Restricts a filtered competitor set to its [`witness_skyband`], the
+/// stable core that LP-CTA traverses and bounds against.  When nothing is
+/// pruned the prepared query (and its possibly-shared tree) is passed
+/// through untouched.
+fn restrict_to_witness_skyband(
+    filtered: FilteredQuery,
+    shared: Option<&SharedPrep>,
+    k: usize,
+) -> FilteredQuery {
+    let mut keep = witness_skyband(&filtered, shared, k);
     if keep.len() == filtered.records.len() {
         return filtered;
     }
@@ -1211,30 +1066,22 @@ mod tests {
     }
 
     #[test]
-    fn policies_expose_their_algorithm() {
-        assert_eq!(CtaPolicy.algorithm(), Algorithm::Cta);
-        assert_eq!(SkybandPolicy.algorithm(), Algorithm::KSkyband);
-        assert_eq!(ProgressivePolicy::pcta().algorithm(), Algorithm::Pcta);
-        assert_eq!(ProgressivePolicy::lpcta().algorithm(), Algorithm::LpCta);
-        assert!(!CtaPolicy.progressive());
-        assert!(!CtaPolicy.use_dominance());
-        assert!(ProgressivePolicy::lpcta().use_rank_bounds());
-        assert!(!ProgressivePolicy::pcta().use_rank_bounds());
-        // Shared preprocessing is only computed for policies that read it.
-        assert!(!CtaPolicy.uses_shared_prep());
-        assert!(SkybandPolicy.uses_shared_prep());
-        assert!(ProgressivePolicy::pcta().uses_shared_prep());
-        assert!(ProgressivePolicy::lpcta().uses_shared_prep());
-        for alg in [
-            Algorithm::Cta,
-            Algorithm::Pcta,
-            Algorithm::LpCta,
-            Algorithm::KSkyband,
-        ] {
-            assert_eq!(policy_for(alg).unwrap().algorithm(), alg);
+    fn run_batch_computes_shared_prep_only_for_algorithms_that_read_it() {
+        let (dataset, _, focal) = figure1();
+        let focals = vec![focal];
+        let engine = QueryEngine::new(&dataset, KsprConfig::default());
+        engine.run_batch(Algorithm::Cta, &focals, 2);
+        engine.run_batch(Algorithm::IMaxRank, &focals, 2);
+        assert_eq!(
+            engine.shared_prep_computes(),
+            0,
+            "CTA and the sweeps never read it"
+        );
+        for alg in [Algorithm::KSkyband, Algorithm::Pcta, Algorithm::LpCta] {
+            let engine = QueryEngine::new(&dataset, KsprConfig::default());
+            engine.run_batch(alg, &focals, 2);
+            assert_eq!(engine.shared_prep_computes(), 1, "{alg:?}");
         }
-        assert!(policy_for(Algorithm::Rtopk).is_none());
-        assert!(policy_for(Algorithm::IMaxRank).is_none());
     }
 
     #[test]

@@ -13,14 +13,14 @@
 //!
 //! ## Algorithms
 //!
-//! | Algorithm | Paper section | Entry point |
+//! | Algorithm | Paper section | [`run`] with |
 //! |---|---|---|
-//! | CTA — Cell Tree Approach | §4 | [`algorithms::run_cta`] |
-//! | P-CTA — Progressive CTA | §5 | [`algorithms::run_pcta`] |
-//! | LP-CTA — Look-ahead Progressive CTA | §6 | [`algorithms::run_lpcta`] |
-//! | k-skyband + CTA baseline | Appendix B | [`algorithms::run_skyband`] |
-//! | RTOPK (monochromatic reverse top-k, `d = 2`) | §2, Vlachou et al. | [`rtopk::run_rtopk`] |
-//! | iMaxRank (incremental maximum-rank) baseline | §2, Mouratidis et al. | [`maxrank::run_imaxrank`] |
+//! | CTA — Cell Tree Approach | §4 | [`Algorithm::Cta`] |
+//! | P-CTA — Progressive CTA | §5 | [`Algorithm::Pcta`] |
+//! | LP-CTA — Look-ahead Progressive CTA | §6 | [`Algorithm::LpCta`] |
+//! | k-skyband + CTA baseline | Appendix B | [`Algorithm::KSkyband`] |
+//! | RTOPK (monochromatic reverse top-k, `d = 2`) | §2, Vlachou et al. | [`Algorithm::Rtopk`] |
+//! | iMaxRank (incremental maximum-rank) baseline | §2, Mouratidis et al. | [`Algorithm::IMaxRank`] |
 //!
 //! All of CTA / P-CTA / LP-CTA can run either in the *transformed* preference
 //! space (Section 3.2, the default) or in the *original* space (Appendix C)
@@ -29,9 +29,11 @@
 //!
 //! ## Architecture
 //!
-//! The CellTree-based methods share a single traversal loop in the
-//! [`engine`] module: each algorithm is an [`engine::ExpansionPolicy`]
-//! plugged into [`engine::QueryEngine`].  The engine also offers
+//! The CellTree-based methods share a single traversal loop in
+//! [`engine::QueryEngine`]; they differ only in their first batch of records
+//! and in which optional stages run, both read off the [`Algorithm`].  The
+//! sweep-based baselines keep their own drivers in [`rtopk`] and
+//! [`maxrank`].  The engine also offers
 //! [`engine::QueryEngine::run_batch`], which answers many focal-record
 //! queries in parallel with shared, focal-independent preprocessing —
 //! the entry point for serving query workloads rather than single lookups.
@@ -39,7 +41,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use kspr::{Dataset, KsprConfig, algorithms};
+//! use kspr::{run, Algorithm, Dataset, KsprConfig};
 //!
 //! // Figure 1 of the paper: restaurants rated on value, service, ambiance.
 //! let restaurants = vec![
@@ -51,7 +53,7 @@
 //! let kyma = vec![0.5, 0.5, 0.7];
 //!
 //! let dataset = Dataset::new(restaurants);
-//! let result = algorithms::run_lpcta(&dataset, &kyma, 3, &KsprConfig::default());
+//! let result = run(Algorithm::LpCta, &dataset, &kyma, 3, &KsprConfig::default());
 //!
 //! // Kyma is in the top-3 for the "balanced" preference (1/3, 1/3, 1/3) ...
 //! assert!(result.contains_full_weight(&[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]));
@@ -78,10 +80,7 @@ pub use algorithms::{run, run_batch, Algorithm};
 pub use approximate::{ApproxImpact, ErrorBudget, QueryTier};
 pub use config::{BoundMode, KsprConfig};
 pub use dataset::{check_record, Dataset, DatasetStore, IngestError};
-pub use engine::{
-    CtaPolicy, ExpansionPolicy, PreparedQuery, ProgressivePolicy, QueryEngine, SharedPrep,
-    SkybandPolicy,
-};
+pub use engine::{QueryEngine, SharedPrep};
 pub use result::{KsprResult, Region};
 pub use stats::{QueryStats, Timing};
 

@@ -338,7 +338,7 @@ fn enumerate_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::run_lpcta;
+    use crate::algorithms::{run, Algorithm};
     use crate::config::KsprConfig;
     use crate::naive;
     use rand::rngs::SmallRng;
@@ -369,7 +369,7 @@ mod tests {
         let focal = vec![0.6, 0.6, 0.6];
         let config = KsprConfig::default();
         let a = run_imaxrank(&dataset, &focal, 2);
-        let b = run_lpcta(&dataset, &focal, 2, &config);
+        let b = run(Algorithm::LpCta, &dataset, &focal, 2, &config);
         let points = naive::sample_weights(&a.space, 200, 17);
         for w in points {
             assert_eq!(a.contains(&w), b.contains(&w), "w = {w:?}");

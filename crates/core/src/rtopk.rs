@@ -176,7 +176,7 @@ fn interval_region(start: f64, end: f64, rank: usize) -> Region {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::run_lpcta;
+    use crate::algorithms::{run, Algorithm};
     use crate::config::KsprConfig;
     use crate::naive;
     use rand::rngs::SmallRng;
@@ -207,7 +207,7 @@ mod tests {
         let focal = vec![0.6, 0.7];
         let config = KsprConfig::default();
         let a = run_rtopk(&dataset, &focal, 5);
-        let b = run_lpcta(&dataset, &focal, 5, &config);
+        let b = run(Algorithm::LpCta, &dataset, &focal, 5, &config);
         for i in 1..100 {
             let w = vec![i as f64 / 100.0];
             assert_eq!(a.contains(&w), b.contains(&w), "w1 = {}", w[0]);

@@ -113,8 +113,8 @@ pub struct QueryStats {
     /// query.  Bland's rule makes the count a pure function of each LP
     /// instance, so it is deterministic and schedule-independent.
     pub lp_pivots: usize,
-    /// Wall-clock time, per-phase breakdown and parallel-insert count.
-    /// Always compares equal (see [`Timing`]).
+    /// Wall-clock time and per-phase breakdown.  Always compares equal (see
+    /// [`Timing`]).
     pub phases: Timing,
 }
 

@@ -83,7 +83,7 @@
 //!    deleting `v` leaves `R` unchanged, and inside every result cell `v`'s
 //!    hyperplane is on the non-outranking side, so it cannot split a
 //!    reported cell: the region decomposition itself is preserved for every
-//!    policy.  LP-CTA's *look-ahead bound* reports read aggregate R-tree
+//!    CellTree algorithm.  LP-CTA's *look-ahead bound* reports read aggregate R-tree
 //!    bounds a witnessed record could still perturb — but the engine
 //!    restricts bound-using traversals to the witness skyband of the
 //!    competitors (`restrict_to_witness_skyband` in `kspr-core`), and a
@@ -96,7 +96,7 @@
 //!
 //! `monitor_consistency.rs` in the umbrella crate property-tests the whole
 //! classifier: under random insert/delete interleavings every maintained
-//! result must match a from-scratch engine run, for all CellTree policies,
+//! result must match a from-scratch engine run, for all CellTree algorithms,
 //! on both the single engine and the sharded serving engine.
 //!
 //! ```
@@ -125,7 +125,6 @@
 //! assert!(monitored.unregister(q));
 //! ```
 
-use kspr::engine::policy_for;
 use kspr::{check_record, Algorithm, IngestError, KsprResult, QueryEngine, QueryStats};
 use kspr_spatial::{dominates, AggregateRTree, Record, RecordId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -170,7 +169,7 @@ pub enum RegisterError {
     InvalidK,
     /// The focal record violates the ingest rules (arity / finiteness).
     Focal(IngestError),
-    /// Only the CellTree policies (CTA, P-CTA, LP-CTA, k-skyband) expose the
+    /// Only the CellTree algorithms (CTA, P-CTA, LP-CTA, k-skyband) expose the
     /// classification hooks; the sweep baselines (RTOPK, iMaxRank) do not.
     UnsupportedAlgorithm,
     /// [`Monitor::register_at`] was handed an id that is already registered
@@ -549,7 +548,7 @@ impl Monitor {
             return Err(RegisterError::InvalidK);
         }
         check_record(&focal, Some(engine.dim())).map_err(RegisterError::Focal)?;
-        if policy_for(algorithm).is_none() {
+        if !algorithm.uses_celltree() {
             return Err(RegisterError::UnsupportedAlgorithm);
         }
         let result = engine.run_query(algorithm, &focal, k);
@@ -588,7 +587,7 @@ impl Monitor {
             return Err(RegisterError::InvalidK);
         }
         check_record(&focal, Some(engine.dim())).map_err(RegisterError::Focal)?;
-        if policy_for(algorithm).is_none() {
+        if !algorithm.uses_celltree() {
             return Err(RegisterError::UnsupportedAlgorithm);
         }
         let result = engine.run_query(algorithm, &focal, k);
